@@ -1,13 +1,15 @@
 //! Timing harness: machine simulation throughput per protocol on the
-//! mixed workload (the engine behind experiments E13, E9, E10).
+//! mixed workload (the engine behind experiments E13, E9, E10), and the
+//! JSON codec on a 1024-PE checkpoint.
 
 use decache_bench::time_case;
 use decache_core::ProtocolKind;
-use decache_machine::MachineBuilder;
+use decache_machine::{Machine, MachineBuilder};
 use decache_mem::{Addr, AddrRange};
+use decache_telemetry::{checkpoint_from_json, checkpoint_to_json, Json};
 use decache_workloads::{MixConfig, MixWorkload};
 
-fn run_machine(kind: ProtocolKind, pes: usize, ops: u64) -> u64 {
+fn build_machine(kind: ProtocolKind, pes: usize, ops: u64) -> Machine {
     let shared = AddrRange::with_len(Addr::new(0), 64);
     let config = MixConfig {
         ops_per_pe: ops,
@@ -16,14 +18,17 @@ fn run_machine(kind: ProtocolKind, pes: usize, ops: u64) -> u64 {
     // Memory must cover every PE's private region (the regions start
     // above the shared block; see MixWorkload::new).
     let memory_words = (1u64 << 14).max((1088 + pes as u64 * 256).next_power_of_two());
-    let mut machine = MachineBuilder::new(kind)
+    MachineBuilder::new(kind)
         .memory_words(memory_words)
         .cache_lines(256)
         .processors(pes, |pe| {
             Box::new(MixWorkload::new(config, shared, pe as u64))
         })
-        .build();
-    machine.run_to_completion(100_000_000)
+        .build()
+}
+
+fn run_machine(kind: ProtocolKind, pes: usize, ops: u64) -> u64 {
+    build_machine(kind, pes, ops).run_to_completion(100_000_000)
 }
 
 fn main() {
@@ -70,4 +75,24 @@ fn main() {
             run_machine(kind, 1024, 300)
         });
     }
+
+    // The JSON codec on the largest checkpoint the workspace writes: a
+    // finished 1024-PE machine, about 16 MB of text. Each stage is timed
+    // alone; the machine, checkpoint and inputs are built outside the
+    // timed closures.
+    let mut machine = build_machine(ProtocolKind::Rb, 1024, 300);
+    machine.run_to_completion(100_000_000);
+    let ck = machine.checkpoint().expect("mix workloads checkpoint");
+    let value = checkpoint_to_json(&ck);
+    let text = value.to_string();
+    time_case("json/checkpoint_1024pe/encode", 5, || {
+        checkpoint_to_json(&ck)
+    });
+    time_case("json/checkpoint_1024pe/render", 5, || value.to_string());
+    time_case("json/checkpoint_1024pe/parse", 5, || {
+        Json::parse(&text).expect("a rendered checkpoint parses")
+    });
+    time_case("json/checkpoint_1024pe/decode", 5, || {
+        checkpoint_from_json(&value).expect("an encoded checkpoint decodes")
+    });
 }
