@@ -47,8 +47,8 @@ fn thread_count(cases: usize) -> usize {
 ///
 /// # Panics
 ///
-/// If `run` panics for any case, the panic propagates to the caller
-/// once all workers have stopped.
+/// If `run` panics for any case, the panic propagates to the caller,
+/// with the worker's own payload, once all workers have stopped.
 ///
 /// # Examples
 ///
@@ -68,16 +68,31 @@ where
     }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = cases.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(case) = cases.get(i) else { break };
-                let result = run(case);
-                *slots[i].lock().unwrap() = Some(result);
-            });
+    // Join every worker inside the scope and keep the first panic
+    // payload: a worker left unjoined makes the scope re-panic with a
+    // generic "a scoped thread panicked", losing the worker's message.
+    let panic = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(case) = cases.get(i) else { break };
+                    let result = run(case);
+                    *slots[i].lock().unwrap() = Some(result);
+                })
+            })
+            .collect();
+        let mut first = None;
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                first.get_or_insert(payload);
+            }
         }
+        first
     });
+    if let Some(payload) = panic {
+        std::panic::resume_unwind(payload);
+    }
     slots
         .into_iter()
         .map(|slot| {
@@ -250,34 +265,7 @@ where
     R: Send,
     F: Fn(&T, u64) -> Option<R> + Sync,
 {
-    let threads = thread_count(cases.len());
-    if threads <= 1 {
-        return cases
-            .iter()
-            .map(|case| run_supervised(config, case, &run))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<CaseOutcome<R>>>> =
-        cases.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(case) = cases.get(i) else { break };
-                let outcome = run_supervised(config, case, &run);
-                *slots[i].lock().unwrap() = Some(outcome);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap()
-                .expect("every case slot is filled before the scope ends")
-        })
-        .collect()
+    run_cases(cases, |case| run_supervised(config, case, &run))
 }
 
 #[cfg(test)]
@@ -320,6 +308,12 @@ mod tests {
             }
             x
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn payload_survives_when_every_worker_panics() {
+        let _ = run_cases(&[0, 1, 2, 3], |&x: &u32| -> u32 { panic!("boom {x}") });
     }
 
     /// A deliberately panicking case is quarantined as its own

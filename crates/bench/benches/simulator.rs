@@ -1,6 +1,6 @@
 //! Timing harness: machine simulation throughput per protocol on the
-//! mixed workload (the engine behind experiments E13, E9, E10), and the
-//! JSON codec on a 1024-PE checkpoint.
+//! mixed workload (the engine behind experiments E13, E9, E10), machine
+//! set-up at 1024 PEs, and the JSON codec on a 1024-PE checkpoint.
 
 use decache_bench::time_case;
 use decache_core::ProtocolKind;
@@ -75,6 +75,15 @@ fn main() {
             run_machine(kind, 1024, 300)
         });
     }
+
+    // Machine set-up at §7 scale: build plus the 80,000-cycle warm-up
+    // of the 1024-PE RB mix, where the per-address PE indexes are
+    // first written (the `fanout_1024` benchmark's `setup_s`).
+    time_case("machine_setup/rb_1024pe", 5, || {
+        let mut machine = build_machine(ProtocolKind::Rb, 1024, 1000);
+        assert!(!machine.run(80_000), "the mix outlasts the warm-up");
+        machine
+    });
 
     // The JSON codec on the largest checkpoint the workspace writes: a
     // finished 1024-PE machine, about 16 MB of text. Each stage is timed

@@ -280,9 +280,9 @@ impl Machine {
             caches.iter().all(|c| c.geometry() == geometry),
             "the sharer index requires all caches to share one geometry"
         );
-        // Preallocate the per-address indexes for the whole memory
-        // range: one zeroed block at build time instead of repeated
-        // grow-and-copy while the run's footprint expands.
+        // Preallocate the per-address index slots (4 bytes each) for
+        // the whole memory range, so no run grows them; bitset rows are
+        // pooled only for blocks with two or more members.
         let mut sharers = AddrPeIndex::with_addr_capacity(n, memory.size());
         let mut owners = AddrPeIndex::with_addr_capacity(n, memory.size());
         for (pe, cache) in caches.iter().enumerate() {
@@ -2043,8 +2043,7 @@ impl Machine {
             stats,
             ..
         } = self;
-        for (w, &bits) in sharers.words(base).iter().enumerate() {
-            let mut bits = bits;
+        for (w, mut bits) in sharers.words(base) {
             for skip_pe in [skip.initiator, skip.supplier].into_iter().flatten() {
                 if skip_pe / 64 == w {
                     bits &= !(1u64 << (skip_pe % 64));
@@ -2246,7 +2245,9 @@ impl Machine {
     }
 
     /// Asserts every fast-path index against a brute-force recompute
-    /// from the architectural state: the sharer index must equal the
+    /// from the architectural state: each per-address index must be
+    /// well formed (pooled rows hold two or more members, no row is
+    /// shared, free rows are zeroed), the sharer index must equal the
     /// per-address holder sets scanned from all tag stores, the
     /// pending-read index must equal the set of PEs stalled in
     /// [`Pending::Read`], and the idle/done bookkeeping must match the
@@ -2257,6 +2258,9 @@ impl Machine {
     /// Panics (with the offending PE/address) if any index diverges.
     #[doc(hidden)]
     pub fn assert_fast_path_invariants(&self) {
+        self.sharers.assert_well_formed("sharer");
+        self.owners.assert_well_formed("supplier");
+        self.pending_readers.assert_well_formed("pending-read");
         let mut cached_lines = 0;
         let mut supplying_lines = 0;
         for (pe, cache) in self.caches.iter().enumerate() {
