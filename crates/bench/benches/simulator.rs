@@ -1,13 +1,17 @@
 //! Timing harness: machine simulation throughput per protocol on the
-//! mixed workload (the engine behind experiments E13, E9, E10), machine
-//! set-up at 1024 PEs, and the JSON codec on a 1024-PE checkpoint.
+//! mixed workload (the engine behind experiments E13, E9, E10), protocol
+//! decisions through the dense table and the hand-coded state machines,
+//! batched versus per-sharer broadcast application, machine set-up at
+//! 1024 PEs, and the JSON codec on a 1024-PE checkpoint.
 
 use decache_bench::time_case;
-use decache_core::ProtocolKind;
+use decache_core::{AnyProtocol, LineState, Protocol, ProtocolKind, SnoopEvent};
 use decache_machine::{Machine, MachineBuilder};
-use decache_mem::{Addr, AddrRange};
+use decache_mem::{Addr, AddrRange, Word};
+use decache_rng::Rng;
 use decache_telemetry::{checkpoint_from_json, checkpoint_to_json, Json};
 use decache_workloads::{MixConfig, MixWorkload};
+use std::hint::black_box;
 
 fn build_machine(kind: ProtocolKind, pes: usize, ops: u64) -> Machine {
     let shared = AddrRange::with_len(Addr::new(0), 64);
@@ -29,6 +33,54 @@ fn build_machine(kind: ProtocolKind, pes: usize, ops: u64) -> Machine {
 
 fn run_machine(kind: ProtocolKind, pes: usize, ops: u64) -> u64 {
     build_machine(kind, pes, ops).run_to_completion(100_000_000)
+}
+
+/// A fixed seeded stream of protocol decisions over `p`'s states: CPU
+/// references to a line in a state (`None` = not present, 10%; writes
+/// 30%), and snoops of held lines by every event `p` can receive.
+struct Decisions {
+    cpu: Vec<(Option<LineState>, bool)>,
+    snoop: Vec<(LineState, SnoopEvent)>,
+}
+
+impl Decisions {
+    fn new(p: &dyn Protocol, each: usize) -> Self {
+        let states = p.states();
+        let mut rng = Rng::from_seed(0xdec1de);
+        let cpu = (0..each)
+            .map(|_| {
+                let state = rng.gen_bool(0.9).then(|| *rng.choose(&states));
+                (state, rng.gen_bool(0.3))
+            })
+            .collect();
+        let snoop = (0..each)
+            .map(|_| {
+                let word = Word::new(rng.next_u64());
+                let event = match rng.gen_range(0u8..5) {
+                    0 => SnoopEvent::Write(word),
+                    1 if p.uses_bus_invalidate() => SnoopEvent::Invalidate,
+                    2 => SnoopEvent::LockedRead(word),
+                    3 => SnoopEvent::UnlockWrite(word),
+                    _ => SnoopEvent::Read(word),
+                };
+                (*rng.choose(&states), event)
+            })
+            .collect();
+        Decisions { cpu, snoop }
+    }
+
+    fn run<P: Protocol + ?Sized>(&self, p: &P) {
+        for &(state, write) in &self.cpu {
+            black_box(if write {
+                p.cpu_write(state)
+            } else {
+                p.cpu_read(state)
+            });
+        }
+        for &(state, event) in &self.snoop {
+            black_box(p.snoop(state, event));
+        }
+    }
 }
 
 fn main() {
@@ -76,6 +128,19 @@ fn main() {
         });
     }
 
+    // The batched broadcast path against its reference, the per-sharer
+    // scan, on the 1024-PE RB mix (outputs are pinned equal by
+    // `fast_path_invariants`).
+    for (path, scan) in [("batched", false), ("forced_scan", true)] {
+        time_case(&format!("snoop/rb_1024pe/{path}"), 3, || {
+            let mut machine = build_machine(ProtocolKind::Rb, 1024, 300);
+            if scan {
+                machine.force_scan_snoop();
+            }
+            machine.run_to_completion(100_000_000)
+        });
+    }
+
     // Machine set-up at §7 scale: build plus the 80,000-cycle warm-up
     // of the 1024-PE RB mix, where the per-address PE indexes are
     // first written (the `fanout_1024` benchmark's `setup_s`).
@@ -104,4 +169,27 @@ fn main() {
     time_case("json/checkpoint_1024pe/decode", 5, || {
         checkpoint_from_json(&value).expect("an encoded checkpoint decodes")
     });
+
+    // Protocol decisions, 2^19 CPU references and 2^19 snoops per
+    // iteration: the dense table every protocol runs on, and the
+    // hand-coded state machines behind a `Box<dyn Protocol>` as the
+    // reference.
+    for kind in [
+        ProtocolKind::Rb,
+        ProtocolKind::Rwb,
+        ProtocolKind::WriteOnce,
+        ProtocolKind::Mesi,
+    ] {
+        let dense = AnyProtocol::build(kind);
+        let decisions = Decisions::new(&dense, 1 << 19);
+        time_case(&format!("protocol/decide/{kind}"), 10, || {
+            decisions.run(&dense);
+        });
+        if kind != ProtocolKind::Mesi {
+            let fsm = kind.build();
+            time_case(&format!("protocol/decide_fsm/{kind}"), 10, || {
+                decisions.run(fsm.as_ref());
+            });
+        }
+    }
 }

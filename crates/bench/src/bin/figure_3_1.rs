@@ -1,14 +1,14 @@
 //! E2 — regenerates **Figure 3-1: State Transition Diagram for each
 //! Cache Entry for the RB Scheme**, as a transition table and Graphviz
-//! DOT.
+//! DOT, from the RB rule table the machine runs.
 
 use decache_bench::banner;
-use decache_core::{to_dot, transition_table, Rb};
+use decache_core::{to_dot, transition_table, AnyProtocol, ProtocolKind};
 
 fn main() {
     banner("RB per-line state transition diagram", "Figure 3-1");
 
-    let rb = Rb::new();
+    let rb = AnyProtocol::build(ProtocolKind::Rb);
     let rows = transition_table(&rb);
     println!("transitions ({}):", rows.len());
     for row in &rows {

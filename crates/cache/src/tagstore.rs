@@ -317,12 +317,36 @@ impl<S> TagStore<S> {
     where
         S: Copy,
     {
+        self.apply_broadcast_at(self.geometry.set_of(addr), addr, word, f)
+    }
+
+    /// [`TagStore::apply_broadcast`] with the slot already computed as
+    /// `geometry.set_of(addr)`. Every direct-mapped store of one
+    /// geometry holds `addr` in the same slot, so a broadcast computes it
+    /// once for all sharers and each visit goes straight to the row,
+    /// reading nothing else from the store.
+    ///
+    /// # Panics
+    ///
+    /// As [`TagStore::apply_broadcast`]; also debug-asserts that `slot`
+    /// is `addr`'s set.
+    #[inline]
+    pub fn apply_broadcast_at(
+        &mut self,
+        slot: usize,
+        addr: Addr,
+        word: Option<Word>,
+        f: impl FnOnce(S) -> (S, bool),
+    ) -> (S, S)
+    where
+        S: Copy,
+    {
         debug_assert_eq!(
             self.geometry.ways(),
             1,
             "apply_broadcast requires a forced (direct-mapped) slot"
         );
-        let slot = self.set_range(addr).start;
+        debug_assert_eq!(slot, self.geometry.set_of(addr), "slot is not addr's set");
         debug_assert_eq!(
             self.rows[slot].tag,
             self.geometry.block_base(addr).index(),

@@ -34,8 +34,8 @@ pub enum ProtocolKind {
     /// Plain write-through-invalidate baseline.
     WriteThrough,
     /// The MESI protocol, defined purely as guarded-action IR data
-    /// ([`crate::ir::mesi`]) and executed by the generic rule
-    /// interpreter — no dedicated engine code.
+    /// ([`crate::ir::mesi`]) and executed from its compiled table like
+    /// every other protocol — no dedicated engine code.
     Mesi,
 }
 
@@ -48,7 +48,11 @@ impl ProtocolKind {
         ProtocolKind::WriteThrough,
     ];
 
-    /// Instantiates the protocol.
+    /// Instantiates the protocol's hand-coded state machine (for MESI,
+    /// which has none, its table protocol). These are the independent
+    /// reference implementations the verifier and the equivalence tests
+    /// check the rule tables against; the machine runs the compiled
+    /// table, [`crate::AnyProtocol::build`].
     ///
     /// # Panics
     ///
@@ -69,8 +73,8 @@ impl ProtocolKind {
 
 impl fmt::Display for ProtocolKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Delegate to the built protocol so names stay in one place.
-        write!(f, "{}", self.build().name())
+        // Names live in one place: the protocol's rule table.
+        write!(f, "{}", ir::kind_table(*self).name)
     }
 }
 

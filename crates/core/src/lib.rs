@@ -48,7 +48,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod any;
 mod config;
 mod diagram;
 pub mod introspect;
@@ -61,7 +60,6 @@ mod state;
 mod write_once;
 mod write_through;
 
-pub use any::AnyProtocol;
 pub use config::Configuration;
 pub use diagram::{to_dot, transition_table, Stimulus, TransitionRow};
 pub use kind::ProtocolKind;
@@ -71,3 +69,19 @@ pub use rwb::Rwb;
 pub use state::LineState;
 pub use write_once::WriteOnce;
 pub use write_through::WriteThrough;
+
+/// The protocol type the machine runs: any [`ProtocolKind`] compiled to
+/// a dense transition table ([`AnyProtocol::build`]).
+///
+/// # Examples
+///
+/// ```
+/// use decache_core::{AnyProtocol, LineState, Protocol, ProtocolKind, SnoopEvent};
+/// use decache_mem::Word;
+///
+/// let p = AnyProtocol::build(ProtocolKind::Rb);
+/// assert_eq!(p.name(), "RB");
+/// let out = p.snoop(LineState::Invalid, SnoopEvent::Read(Word::new(9)));
+/// assert!(out.capture);
+/// ```
+pub type AnyProtocol = ir::TableProtocol;

@@ -1,0 +1,407 @@
+//! Exhaustive equivalence of the three protocol executors:
+//!
+//! * the dense compiled table the machine runs ([`AnyProtocol`]);
+//! * the hand-coded state machine ([`ProtocolKind::build`]; for MESI,
+//!   which has none, the boxed table protocol);
+//! * a linear [`RuleTable::matching`] scan over the same rule table
+//!   ([`Linear`] below).
+//!
+//! Every protocol kind, every RWB threshold, every cell, both guard bits.
+
+use decache_core::introspect::{transition_domain, SnoopKind, TableInput, TransitionKey};
+use decache_core::ir::{hand_table, mesi, Effect, Guard, Rule, RuleTable, TableProtocol};
+use decache_core::{
+    AnyProtocol, BusIntent, CpuOutcome, LineState, Protocol, ProtocolKind, Rwb, SnoopEvent,
+    SnoopOutcome,
+};
+use decache_mem::Word;
+use LineState::{Dirty, FirstWrite, Invalid, Local, Readable, Reserved, Valid};
+
+/// Every protocol kind, with every supported RWB threshold.
+fn kinds() -> Vec<ProtocolKind> {
+    let mut kinds = vec![
+        ProtocolKind::Rb,
+        ProtocolKind::RbNoBroadcast,
+        ProtocolKind::Rwb,
+        ProtocolKind::WriteOnce,
+        ProtocolKind::WriteThrough,
+        ProtocolKind::Mesi,
+    ];
+    kinds.extend((1..=Rwb::MAX_K).map(ProtocolKind::RwbThreshold));
+    kinds
+}
+
+fn table(kind: ProtocolKind) -> RuleTable {
+    hand_table(kind).unwrap_or_else(mesi)
+}
+
+/// `NP`, every state variant, and `FirstWrite` counts one past the
+/// largest threshold.
+fn every_state() -> Vec<Option<LineState>> {
+    let mut states = vec![
+        None,
+        Some(Invalid),
+        Some(Readable),
+        Some(Local),
+        Some(Valid),
+        Some(Reserved),
+        Some(Dirty),
+    ];
+    states.extend((0..=Rwb::MAX_K + 1).map(|c| Some(FirstWrite(c))));
+    states
+}
+
+fn every_input() -> Vec<TableInput> {
+    let mut inputs = vec![TableInput::CpuRead, TableInput::CpuWrite];
+    inputs.extend(
+        [BusIntent::Read, BusIntent::Write, BusIntent::Invalidate].map(TableInput::OwnComplete),
+    );
+    inputs.extend([TableInput::OwnLockedRead, TableInput::OwnUnlockWrite]);
+    inputs.extend(SnoopKind::ALL.map(TableInput::Snoop));
+    inputs.extend([TableInput::Supply, TableInput::Evict]);
+    inputs
+}
+
+/// The reference executor: one linear scan of the rule list per
+/// decision.
+#[derive(Debug)]
+struct Linear(RuleTable);
+
+impl Linear {
+    fn effect(&self, state: Option<LineState>, input: TableInput, other_readable: bool) -> Effect {
+        let cell = TransitionKey { state, input };
+        self.0
+            .matching(state, input, other_readable)
+            .unwrap_or_else(|| panic!("{}: no rule for {cell}", self.0.name))
+            .effect
+    }
+
+    fn next(&self, state: Option<LineState>, input: TableInput, other_readable: bool) -> LineState {
+        match self.effect(state, input, other_readable) {
+            Effect::Next { next, .. } => next,
+            other => panic!("{}: {input} has effect {other}", self.0.name),
+        }
+    }
+
+    fn cpu(&self, state: Option<LineState>, input: TableInput) -> CpuOutcome {
+        match self.effect(state, input, true) {
+            Effect::Hit { next } => CpuOutcome::Hit { next },
+            Effect::Issue { intent } => CpuOutcome::Miss { intent },
+            other => panic!("{}: {input} has effect {other}", self.0.name),
+        }
+    }
+}
+
+impl Protocol for Linear {
+    fn name(&self) -> String {
+        self.0.name.clone()
+    }
+
+    fn states(&self) -> Vec<LineState> {
+        self.0.states.clone()
+    }
+
+    fn cpu_read(&self, state: Option<LineState>) -> CpuOutcome {
+        self.cpu(state, TableInput::CpuRead)
+    }
+
+    fn cpu_write(&self, state: Option<LineState>) -> CpuOutcome {
+        self.cpu(state, TableInput::CpuWrite)
+    }
+
+    fn own_complete(&self, state: Option<LineState>, intent: BusIntent) -> LineState {
+        self.own_complete_shared(state, intent, true)
+    }
+
+    fn own_complete_shared(
+        &self,
+        state: Option<LineState>,
+        intent: BusIntent,
+        other_holders: bool,
+    ) -> LineState {
+        self.next(state, TableInput::OwnComplete(intent), other_holders)
+    }
+
+    fn own_locked_read_complete(&self, state: Option<LineState>) -> LineState {
+        self.next(state, TableInput::OwnLockedRead, true)
+    }
+
+    fn own_unlock_write_complete(&self, state: Option<LineState>) -> LineState {
+        self.next(state, TableInput::OwnUnlockWrite, true)
+    }
+
+    fn snoop(&self, state: LineState, event: SnoopEvent) -> SnoopOutcome {
+        let input = TableInput::Snoop(SnoopKind::of(event));
+        match self.effect(Some(state), input, true) {
+            Effect::Next { next, capture } => SnoopOutcome { next, capture },
+            other => panic!("{}: {input} has effect {other}", self.0.name),
+        }
+    }
+
+    fn supplies_on_snoop_read(&self, state: LineState) -> bool {
+        self.0
+            .matching(Some(state), TableInput::Supply, true)
+            .is_some()
+    }
+
+    fn after_supply(&self, state: LineState) -> LineState {
+        match self.effect(Some(state), TableInput::Supply, true) {
+            Effect::Supply { next } => next,
+            other => panic!("{}: supply has effect {other}", self.0.name),
+        }
+    }
+
+    fn writeback_on_evict(&self, state: LineState) -> bool {
+        match self.effect(Some(state), TableInput::Evict, true) {
+            Effect::Evict { writeback } => writeback,
+            other => panic!("{}: evict has effect {other}", self.0.name),
+        }
+    }
+
+    fn broadcasts_write_data(&self) -> bool {
+        self.0.broadcasts_write_data
+    }
+
+    fn uses_bus_invalidate(&self) -> bool {
+        self.0.uses_bus_invalidate
+    }
+
+    fn fill_depends_on_sharers(&self) -> bool {
+        self.0.has_guards()
+    }
+}
+
+/// What a protocol's trait methods decide for one cell, in [`Effect`]
+/// form. Snoops carry a nonzero word: no decision may depend on it.
+fn decide(p: &dyn Protocol, key: TransitionKey, other_readable: bool) -> Effect {
+    let cpu = |out: CpuOutcome| match out {
+        CpuOutcome::Hit { next } => Effect::Hit { next },
+        CpuOutcome::Miss { intent } => Effect::Issue { intent },
+    };
+    let next = |next| Effect::Next {
+        next,
+        capture: false,
+    };
+    let held = || {
+        key.state
+            .expect("snoop, supply and evict cells are for held lines")
+    };
+    let word = Word::new(0x5a5a);
+    match key.input {
+        TableInput::CpuRead => cpu(p.cpu_read(key.state)),
+        TableInput::CpuWrite => cpu(p.cpu_write(key.state)),
+        TableInput::OwnComplete(intent) => {
+            next(p.own_complete_shared(key.state, intent, other_readable))
+        }
+        TableInput::OwnLockedRead => next(p.own_locked_read_complete(key.state)),
+        TableInput::OwnUnlockWrite => next(p.own_unlock_write_complete(key.state)),
+        TableInput::Snoop(kind) => {
+            let event = match kind {
+                SnoopKind::Read => SnoopEvent::Read(word),
+                SnoopKind::Write => SnoopEvent::Write(word),
+                SnoopKind::Invalidate => SnoopEvent::Invalidate,
+                SnoopKind::LockedRead => SnoopEvent::LockedRead(word),
+                SnoopKind::UnlockWrite => SnoopEvent::UnlockWrite(word),
+            };
+            let out = p.snoop(held(), event);
+            Effect::Next {
+                next: out.next,
+                capture: out.capture,
+            }
+        }
+        TableInput::Supply => Effect::Supply {
+            next: p.after_supply(held()),
+        },
+        TableInput::Evict => Effect::Evict {
+            writeback: p.writeback_on_evict(held()),
+        },
+    }
+}
+
+/// Asserts that every dense cell holds what the linear scan finds, over
+/// the whole layout: every state slot (declared or not), every input,
+/// both guard bits. Returns the number of filled cells.
+fn assert_cells_match_scan(label: &str, table: &RuleTable, dense: &TableProtocol) -> usize {
+    let mut filled = 0;
+    for state in every_state() {
+        for input in every_input() {
+            for other_readable in [false, true] {
+                let want = table
+                    .matching(state, input, other_readable)
+                    .map(|rule| rule.effect);
+                let cell = TransitionKey { state, input };
+                assert_eq!(
+                    dense.cell_effect(state, input, other_readable),
+                    want,
+                    "{label}: {cell} (other_readable={other_readable})"
+                );
+                filled += usize::from(want.is_some());
+            }
+        }
+    }
+    filled
+}
+
+/// The dense cells of every built-in protocol hold exactly what the
+/// linear scan finds; empty cells stay empty.
+#[test]
+fn dense_cells_equal_the_linear_scan_everywhere() {
+    for kind in kinds() {
+        let filled =
+            assert_cells_match_scan(&kind.to_string(), &table(kind), &AnyProtocol::build(kind));
+        assert!(filled > 40, "{kind}: suspiciously few rules ({filled})");
+    }
+}
+
+/// Overlapping rules resolve to the first match, as the scan does: a
+/// later duplicate with another effect loses, and a guarded rule ahead
+/// of an unconditional one wins only under its guard bit.
+#[test]
+fn overlapping_rules_resolve_to_the_first_match() {
+    let mut table = table(ProtocolKind::Rb);
+    let mut duplicate = table.rules[0];
+    duplicate.effect = Effect::Hit { next: Local };
+    table.rules.push(duplicate);
+    table.rules.insert(
+        0,
+        Rule {
+            from: None,
+            input: TableInput::OwnComplete(BusIntent::Read),
+            guard: Guard::NoOtherReadableHolder,
+            effect: Effect::Next {
+                next: Local,
+                capture: false,
+            },
+        },
+    );
+    let dense = TableProtocol::new(table.clone());
+    assert_cells_match_scan("RB with overlaps", &table, &dense);
+    assert_eq!(
+        dense.own_complete_shared(None, BusIntent::Read, false),
+        Local
+    );
+    assert_eq!(
+        dense.own_complete_shared(None, BusIntent::Read, true),
+        Readable
+    );
+}
+
+/// The dense table, the hand-coded state machine and the linear scan
+/// agree on every [`Protocol`] method, over the state machine's whole
+/// transition domain and both guard bits, and on every flag.
+#[test]
+fn three_executors_agree_on_every_protocol_method() {
+    for kind in kinds() {
+        let fsm = kind.build();
+        let dense = AnyProtocol::build(kind);
+        let linear = Linear(table(kind));
+        let others: [(&str, &dyn Protocol); 2] = [("dense", &dense), ("linear", &linear)];
+        for (label, p) in others {
+            assert_eq!(p.name(), fsm.name(), "{kind}: {label} name");
+            assert_eq!(p.states(), fsm.states(), "{kind}: {label} states");
+            assert_eq!(
+                p.uses_bus_invalidate(),
+                fsm.uses_bus_invalidate(),
+                "{kind}: {label} uses_bus_invalidate"
+            );
+            assert_eq!(
+                p.broadcasts_write_data(),
+                fsm.broadcasts_write_data(),
+                "{kind}: {label} broadcasts_write_data"
+            );
+            assert_eq!(
+                p.fill_depends_on_sharers(),
+                fsm.fill_depends_on_sharers(),
+                "{kind}: {label} fill_depends_on_sharers"
+            );
+        }
+        assert_eq!(kind.to_string(), fsm.name(), "{kind}: display name");
+
+        let domain = transition_domain(fsm.as_ref());
+        assert!(domain.len() > 20, "{kind}: domain of {}", domain.len());
+        for &key in &domain {
+            for other_readable in [false, true] {
+                let want = decide(fsm.as_ref(), key, other_readable);
+                for (label, p) in others {
+                    assert_eq!(
+                        decide(p, key, other_readable),
+                        want,
+                        "{kind}: {label} decides {key} (other_readable={other_readable})"
+                    );
+                }
+            }
+            if let TableInput::OwnComplete(intent) = key.input {
+                let want = fsm.own_complete(key.state, intent);
+                for (label, p) in others {
+                    assert_eq!(
+                        p.own_complete(key.state, intent),
+                        want,
+                        "{kind}: {label} own_complete {key}"
+                    );
+                }
+            }
+        }
+
+        // Supplier status, and the snoop step's before/after supply bits
+        // that drive the machine's owner index.
+        for state in fsm.states() {
+            let supplies = fsm.supplies_on_snoop_read(state);
+            for (label, p) in others {
+                assert_eq!(
+                    p.supplies_on_snoop_read(state),
+                    supplies,
+                    "{kind}: {label} supplies_on_snoop_read({state})"
+                );
+            }
+            for snoop in SnoopKind::ALL {
+                let key = TransitionKey {
+                    state: Some(state),
+                    input: TableInput::Snoop(snoop),
+                };
+                if !domain.contains(&key) {
+                    continue;
+                }
+                let step = dense.snoop_step(state, snoop);
+                assert_eq!(
+                    step.outcome,
+                    fsm.snoop(state, snoop.event()),
+                    "{kind}: {key}"
+                );
+                assert_eq!(step.supplied, supplies, "{kind}: {key} supplied");
+                assert_eq!(
+                    step.supplies,
+                    fsm.supplies_on_snoop_read(step.outcome.next),
+                    "{kind}: {key} supplies"
+                );
+            }
+        }
+    }
+}
+
+/// A cell the table has no rule for panics with the table's name and
+/// the cell, on the snoop path the broadcast loop uses.
+#[test]
+#[should_panic(expected = "RB: no rule for R --snoop:BW (other_readable=true)")]
+fn a_missing_cell_panics_with_the_table_name_and_the_cell() {
+    let mut table = table(ProtocolKind::Rb);
+    table
+        .rules
+        .retain(|r| !(r.from == Some(Readable) && r.input == TableInput::Snoop(SnoopKind::Write)));
+    let p = TableProtocol::new(table);
+    let _ = p.snoop(Readable, SnoopEvent::Write(Word::ONE));
+}
+
+/// A rule whose effect does not fit the method asking panics too.
+#[test]
+#[should_panic(expected = "write-through: rule V --own:BRL → miss(BW) has a non-transition effect")]
+fn a_misshapen_effect_panics_with_the_table_name_and_the_cell() {
+    let mut table = table(ProtocolKind::WriteThrough);
+    for rule in &mut table.rules {
+        if rule.from == Some(Valid) && rule.input == TableInput::OwnLockedRead {
+            rule.effect = Effect::Issue {
+                intent: BusIntent::Write,
+            };
+        }
+    }
+    let _ = TableProtocol::new(table).own_locked_read_complete(Some(Valid));
+}

@@ -15,6 +15,7 @@ use decache_bus::{
     TrafficStats,
 };
 use decache_cache::{AccessKind, CacheStats, TagStore};
+use decache_core::introspect::SnoopKind;
 use decache_core::{AnyProtocol, BusIntent, CpuOutcome, LineState, Protocol, SnoopEvent};
 use decache_mem::{Addr, AddrRange, MemError, Memory, PeId, Word};
 use std::collections::HashMap;
@@ -1846,13 +1847,12 @@ impl Machine {
 
         // The initiator's own line fills.
         let prior = self.line_state(pe, addr);
+        // A guard-free table fills identically under either sample.
         let next = if locked {
             self.protocol.own_locked_read_complete(prior)
-        } else if self.protocol.fill_depends_on_sharers() {
+        } else {
             self.protocol
                 .own_complete_shared(prior, BusIntent::Read, shared)
-        } else {
-            self.protocol.own_complete(prior, BusIntent::Read)
         };
         self.install(pe, addr, prior, next, value);
         self.notify(Observation::ReadCompleted { pe, addr, locked });
@@ -2024,7 +2024,7 @@ impl Machine {
     /// The batched broadcast application: walks `addr`'s sharer bitset
     /// word at a time, popcounts the aggregate visit/probe work, and
     /// applies the protocol's snoop transition straight into each SoA
-    /// tag store via [`TagStore::apply_broadcast`] — no per-sharer tag
+    /// tag store via [`TagStore::apply_broadcast_at`] — no per-sharer tag
     /// scan, skip test, or attachment check. Only runs on shapes where
     /// that is exact (see [`Machine::dispatch_snoop`]); a line's
     /// parity is provably good here (bad parity implies
@@ -2032,6 +2032,10 @@ impl Machine {
     fn dispatch_snoop_batched(&mut self, addr: Addr, event: SnoopEvent, skip: SkipPes) {
         let base = self.block_base(addr);
         let word = event.word();
+        let kind = SnoopKind::of(event);
+        // Every cache shares one direct-mapped geometry: one slot for
+        // all sharers.
+        let slot = self.geometry.set_of(addr);
         // Disjoint field borrows: the sharer words are only read —
         // snooping never evicts a line (even a snoop to Invalid leaves
         // it present), so membership is stable across the loop.
@@ -2054,22 +2058,19 @@ impl Machine {
             while bits != 0 {
                 let pe = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let (old, next) = caches[pe].apply_broadcast(addr, word, |s| {
-                    let out = protocol.snoop(s, event);
-                    (out.next, out.capture)
+                // One table cell decides the transition and the
+                // supplier-index update (`sync_owner` over the
+                // destructured borrows).
+                let mut owner = (false, false);
+                caches[pe].apply_broadcast_at(slot, addr, word, |s| {
+                    let step = protocol.snoop_step(s, kind);
+                    owner = (step.supplied, step.supplies);
+                    (step.outcome.next, step.outcome.capture)
                 });
-                if next != old {
-                    // `sync_owner` inlined over the destructured
-                    // borrows.
-                    let owned = protocol.supplies_on_snoop_read(old);
-                    let owns = protocol.supplies_on_snoop_read(next);
-                    if owned != owns {
-                        if owns {
-                            owners.add(base, pe);
-                        } else {
-                            owners.remove(base, pe);
-                        }
-                    }
+                match owner {
+                    (false, true) => owners.add(base, pe),
+                    (true, false) => owners.remove(base, pe),
+                    _ => {}
                 }
             }
         }

@@ -1,18 +1,19 @@
 //! # decache-protocol-ir
 //!
-//! Protocols as provable data: the guarded-action rule compiler, the
-//! hand-written declarative tables, and the **per-rule static analyzer**.
+//! Protocols as provable data: the guarded-action rule compiler and the
+//! **per-rule static analyzer**.
 //!
-//! The IR itself ([`decache_core::ir`]) lives in the core crate so the
-//! machine can execute table-defined protocols; this crate holds
-//! everything that reasons *about* tables:
+//! The IR itself ([`decache_core::ir`]) and the hand-written tables live
+//! in the core crate, because the machine executes every protocol from
+//! its table; this crate holds everything that reasons *about* tables:
 //!
 //! * [`compile`] — derives a [`RuleTable`] for any [`Protocol`]
 //!   implementation by probing its `transition_domain`, turning the
 //!   hand-coded Rust state machines into data;
-//! * [`hand_table`] — independent, hand-written declarative tables for
-//!   the paper's seven schemes, cross-checked against [`compile`] so a
-//!   transcription slip in either direction fails a test;
+//! * [`hand_table`] (re-exported from [`decache_core::ir`]) —
+//!   independent, hand-written declarative tables for the paper's seven
+//!   schemes, cross-checked against [`compile`] so a transcription slip
+//!   in either direction fails a test;
 //! * [`analyze`] — the static analyzer: totality, determinism,
 //!   PE-symmetry, and coherence-invariant preservation proven over a
 //!   **counting abstraction** whose `Many` element covers every cache
@@ -26,11 +27,10 @@
 
 mod analyze;
 mod compile;
-mod tables;
 
 pub use analyze::{analyze, Analysis, CheckKind, Diagnostic};
 pub use compile::compile;
-pub use tables::hand_table;
+pub use decache_core::ir::hand_table;
 
 use decache_core::ir::RuleTable;
 use decache_core::ProtocolKind;

@@ -8,7 +8,7 @@
 //!             [--pes N] [--buses B] [--ops N] [--cache-lines N]
 //! ```
 
-use decache::core::ProtocolKind;
+use decache::core::{ProtocolKind, Rwb};
 use decache::machine::MachineBuilder;
 use decache::mem::{Addr, AddrRange};
 use decache::sync::{BarrierWorker, LockWorker, Primitive};
@@ -59,6 +59,12 @@ fn parse_protocol(raw: &str) -> Result<ProtocolKind, String> {
                 let k: u8 = k
                     .parse()
                     .map_err(|_| format!("bad rwb threshold: {other}"))?;
+                if !(1..=Rwb::MAX_K).contains(&k) {
+                    return Err(format!(
+                        "rwb threshold out of range: {other} (k must be 1..={})",
+                        Rwb::MAX_K
+                    ));
+                }
                 Ok(ProtocolKind::RwbThreshold(k))
             } else {
                 Err(format!("unknown protocol: {other}"))
@@ -245,6 +251,14 @@ mod tests {
         assert_eq!(parse_protocol("mesi").unwrap(), ProtocolKind::Mesi);
         assert!(parse_protocol("moesi").is_err());
         assert!(parse_protocol("rwb:x").is_err());
+        assert_eq!(
+            parse_protocol("rwb:8").unwrap(),
+            ProtocolKind::RwbThreshold(8)
+        );
+        for k in ["rwb:0", "rwb:9", "rwb:255"] {
+            let err = parse_protocol(k).unwrap_err();
+            assert!(err.contains("out of range"), "{k}: {err}");
+        }
     }
 
     #[test]
