@@ -1,7 +1,7 @@
 //! Timing harness: machine simulation throughput per protocol on the
 //! mixed workload (the engine behind experiments E13, E9, E10), protocol
 //! decisions through the dense table and the hand-coded state machines,
-//! batched versus per-sharer broadcast application, machine set-up at
+//! deferred versus per-sharer broadcast application, machine set-up at
 //! 1024 PEs, and the JSON codec on a 1024-PE checkpoint.
 
 use decache_bench::time_case;
@@ -99,7 +99,7 @@ fn main() {
 
     // Scaling sweep to 8x the paper's machine size. Simulated cycles
     // grow linearly with PE count, but work per live cycle grows with
-    // the sharer fan-out, so the big sizes lean on the batched
+    // the sharer fan-out, so the big sizes lean on the deferred
     // broadcast path (and get fewer iterations to keep the sweep
     // quick).
     for pes in [2usize, 8, 16, 32, 64, 128, 256, 512, 1024] {
@@ -121,17 +121,17 @@ fn main() {
 
     // The same study pushed to 1024 PEs — far past the paper's 128-PE
     // extrapolation ceiling. Tractable in seconds per run thanks to
-    // the batched broadcast path and the packed tag-store rows.
+    // the deferred broadcast path and the packed tag-store rows.
     for kind in [ProtocolKind::Rb, ProtocolKind::Rwb] {
         time_case(&format!("section7_1024pe/{kind}"), 3, || {
             run_machine(kind, 1024, 300)
         });
     }
 
-    // The batched broadcast path against its reference, the per-sharer
+    // The deferred broadcast path against its reference, the per-sharer
     // scan, on the 1024-PE RB mix (outputs are pinned equal by
     // `fast_path_invariants`).
-    for (path, scan) in [("batched", false), ("forced_scan", true)] {
+    for (path, scan) in [("deferred", false), ("forced_scan", true)] {
         time_case(&format!("snoop/rb_1024pe/{path}"), 3, || {
             let mut machine = build_machine(ProtocolKind::Rb, 1024, 300);
             if scan {

@@ -9,7 +9,7 @@
 //! multiple-bus organization is required. Historically this bin was
 //! infeasible: the scan-every-PE loop made each cycle cost O(m) even
 //! with every PE stalled on the saturated bus. The wake-schedule
-//! engine runs the 128-PE scenario in milliseconds, and the batched
+//! engine runs the 128-PE scenario in milliseconds, and the deferred
 //! broadcast path plus packed tag-store rows keep the 1024-PE runs in
 //! the seconds range.
 

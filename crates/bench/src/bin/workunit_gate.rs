@@ -4,8 +4,7 @@
 //!
 //! Wall-clock gates are too flaky for CI; work units are exact — the
 //! counters are deterministic per scenario and identical across every
-//! engine path (sequential or sharded issue, scanned or batched
-//! broadcast) by construction. A change that makes the simulated
+//! engine path (scanned or deferred broadcast) by construction. A change that makes the simulated
 //! machine do more work (more misses, more sharer fan-out, more
 //! arbitration) moves them; a pure engine optimization does not.
 //!

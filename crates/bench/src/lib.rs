@@ -157,16 +157,49 @@ fn record_line(value: Json) {
         .unwrap_or_else(|e| panic!("DECACHE_BENCH_JSON={path}: {e}"));
 }
 
-/// Appends one `{"name", "ns_per_iter", "iters"}` record to the file
-/// named by `DECACHE_BENCH_JSON`, if set.
-fn record_json(name: &str, nanos: f64, iters: u32) {
+/// The spread of one bench case's per-iteration times, in nanoseconds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Spread {
+    mean: f64,
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Spread {
+    /// The spread of a non-empty set of samples.
+    fn of(samples: &[f64]) -> Spread {
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let n = sorted.len();
+        let median = if n % 2 == 1 {
+            sorted[n / 2]
+        } else {
+            (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
+        };
+        Spread {
+            mean: sorted.iter().sum::<f64>() / n as f64,
+            median,
+            min: sorted[0],
+            max: sorted[n - 1],
+        }
+    }
+}
+
+/// Appends one `{"name", "ns_per_iter", "iters", "median_ns", "min_ns",
+/// "max_ns"}` record to the file named by `DECACHE_BENCH_JSON`, if set.
+/// `ns_per_iter` is the mean, as in the older records.
+fn record_json(name: &str, spread: Spread, iters: u32) {
     // Keep the historical one-decimal rendering of BENCH_simulator.json
     // (`Json::F64` would print the full shortest-round-trip form).
-    let rounded = (nanos * 10.0).round() / 10.0;
+    let ns = |nanos: f64| Json::F64((nanos * 10.0).round() / 10.0);
     record_line(Json::object(vec![
         ("name", Json::Str(name.to_owned())),
-        ("ns_per_iter", Json::F64(rounded)),
+        ("ns_per_iter", ns(spread.mean)),
         ("iters", Json::U64(u64::from(iters))),
+        ("median_ns", ns(spread.median)),
+        ("min_ns", ns(spread.min)),
+        ("max_ns", ns(spread.max)),
     ]));
 }
 
@@ -224,10 +257,11 @@ pub fn save_env_trace(trace: &Option<PerfettoTrace>, machine: &Machine) {
     );
 }
 
-/// Times `body` over `iters` iterations after one warmup call and
-/// prints a `name ... mean per-iter` line; the dependency-free stand-in
-/// for the former Criterion harness. Returns the mean nanoseconds per
-/// iteration so callers can assert coarse regressions if they want.
+/// Times `body` over `iters` iterations after one warmup call, each
+/// iteration on its own clock, and prints a `name  median [min–max]`
+/// line; the dependency-free stand-in for the former Criterion
+/// harness. Returns the mean nanoseconds per iteration so callers can
+/// assert coarse regressions if they want.
 ///
 /// Two environment knobs:
 ///
@@ -235,8 +269,9 @@ pub fn save_env_trace(trace: &Option<PerfettoTrace>, machine: &Machine) {
 ///   CI smoke runs set it to `1` to type-check and exercise the bench
 ///   bins without paying for statistics.
 /// * `DECACHE_BENCH_JSON=<path>` appends one JSON line per case
-///   (`{"name": …, "ns_per_iter": …, "iters": …}`) to `<path>`, so
-///   sweeps can be diffed across commits (see `BENCH_simulator.json`).
+///   (`{"name": …, "ns_per_iter": <mean>, "iters": …, "median_ns": …,
+///   "min_ns": …, "max_ns": …}`) to `<path>`, so sweeps can be diffed
+///   across commits (see `BENCH_simulator.json`).
 pub fn time_case<T>(name: &str, iters: u32, mut body: impl FnMut() -> T) -> f64 {
     let iters = match std::env::var("DECACHE_BENCH_ITERS") {
         Ok(v) => v
@@ -246,38 +281,94 @@ pub fn time_case<T>(name: &str, iters: u32, mut body: impl FnMut() -> T) -> f64 
     };
     assert!(iters > 0, "at least one iteration");
     std::hint::black_box(body());
-    let start = std::time::Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(body());
-    }
-    let nanos = start.elapsed().as_nanos() as f64 / f64::from(iters);
-    record_json(name, nanos, iters);
-    if nanos >= 1_000_000.0 {
-        println!(
-            "{name:<44} {:>10.2} ms/iter ({iters} iters)",
-            nanos / 1_000_000.0
-        );
-    } else if nanos >= 1_000.0 {
-        println!(
-            "{name:<44} {:>10.2} us/iter ({iters} iters)",
-            nanos / 1_000.0
-        );
+    let samples: Vec<f64> = (0..iters)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            std::hint::black_box(body());
+            start.elapsed().as_nanos() as f64
+        })
+        .collect();
+    let spread = Spread::of(&samples);
+    record_json(name, spread, iters);
+    let (scale, unit) = if spread.median >= 1_000_000.0 {
+        (1_000_000.0, "ms")
+    } else if spread.median >= 1_000.0 {
+        (1_000.0, "us")
     } else {
-        println!("{name:<44} {nanos:>10.0} ns/iter ({iters} iters)");
-    }
-    nanos
+        (1.0, "ns")
+    };
+    println!(
+        "{name:<44} {:>10.2} {unit}/iter [{:.2}–{:.2}] ({iters} iters)",
+        spread.median / scale,
+        spread.min / scale,
+        spread.max / scale
+    );
+    spread.mean
 }
 
 #[cfg(test)]
 mod tests {
+    use super::Spread;
+
     #[test]
     fn banner_prints() {
         super::banner("test", "artifact");
     }
 
     #[test]
-    fn time_case_returns_positive_mean() {
-        let mean = super::time_case("noop", 10, || 1 + 1);
-        assert!(mean >= 0.0);
+    fn spread_takes_the_middle_and_the_extremes() {
+        let odd = Spread::of(&[5.0, 1.0, 3.0]);
+        assert_eq!(
+            odd,
+            Spread {
+                mean: 3.0,
+                median: 3.0,
+                min: 1.0,
+                max: 5.0
+            }
+        );
+        let even = Spread::of(&[4.0, 1.0, 10.0, 2.0]);
+        assert_eq!((even.median, even.min, even.max), (3.0, 1.0, 10.0));
+        assert_eq!(even.mean, 4.25);
+    }
+
+    /// The one test that sets `DECACHE_BENCH_JSON`, so no other test's
+    /// cases land in its file.
+    #[test]
+    fn time_case_records_mean_median_min_and_max() {
+        let path = std::env::temp_dir().join(format!("decache-bench-{}.json", std::process::id()));
+        std::env::set_var("DECACHE_BENCH_JSON", &path);
+        let mut calls = 0u32;
+        let mean = super::time_case("sleepy", 4, || {
+            calls += 1;
+            std::thread::sleep(std::time::Duration::from_micros(u64::from(calls) * 200));
+        });
+        std::env::remove_var("DECACHE_BENCH_JSON");
+        let text = std::fs::read_to_string(&path).expect("the record was written");
+        std::fs::remove_file(&path).expect("temp file removable");
+        let record = decache_telemetry::Json::parse(text.trim()).expect("one JSON record");
+        let field = |key: &str| record.get(key).and_then(decache_telemetry::Json::as_f64);
+        assert_eq!(
+            record.get("name").and_then(decache_telemetry::Json::as_str),
+            Some("sleepy")
+        );
+        assert_eq!(field("iters"), Some(4.0));
+        let (min, median, max) = (
+            field("min_ns").expect("min_ns"),
+            field("median_ns").expect("median_ns"),
+            field("max_ns").expect("max_ns"),
+        );
+        let recorded_mean = field("ns_per_iter").expect("ns_per_iter");
+        assert!(
+            (recorded_mean - mean).abs() <= 0.05,
+            "{recorded_mean} vs {mean}"
+        );
+        // Five calls (one warm-up) sleeping 200 µs more each time: the
+        // timed four sleep 0.4–1.0 ms.
+        assert!(
+            400_000.0 <= min && min < median && median < max,
+            "{min} {median} {max}"
+        );
+        assert!(min <= mean && mean <= max);
     }
 }

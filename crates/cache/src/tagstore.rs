@@ -51,6 +51,9 @@ pub struct Entry<S> {
     /// mismatch on the next access to the line. Fresh fills always start
     /// with good parity.
     pub parity_ok: bool,
+    /// The owner's version stamp for the line (see
+    /// [`TagStore::insert_stamped`]).
+    pub stamp: u32,
 }
 
 /// A mutable view of one valid cache line, borrowing the state, data, and
@@ -67,6 +70,8 @@ pub struct EntryMut<'a, S> {
     pub data: &'a mut Word,
     /// Parity check bit (see [`Entry::parity_ok`]).
     pub parity_ok: &'a mut bool,
+    /// The owner's version stamp (see [`Entry::stamp`]).
+    pub stamp: &'a mut u32,
 }
 
 /// A line displaced by [`TagStore::insert`], handed back so the cache
@@ -84,6 +89,8 @@ pub struct EvictedLine<S> {
     /// Its parity bit at eviction time — a corrupted line written back
     /// propagates its fault into memory.
     pub parity_ok: bool,
+    /// Its version stamp at eviction time (see [`Entry::stamp`]).
+    pub stamp: u32,
 }
 
 /// The tag value marking an empty way. Real block bases never collide
@@ -135,6 +142,8 @@ struct Row<S> {
     /// Coherence state; `None` exactly where the tag is empty.
     state: Option<S>,
     parity: bool,
+    /// Sits in the row's padding, so it costs no memory.
+    stamp: u32,
 }
 
 impl<S> Row<S> {
@@ -144,6 +153,7 @@ impl<S> Row<S> {
             data: Word::ZERO,
             state: None,
             parity: true,
+            stamp: 0,
         }
     }
 }
@@ -245,6 +255,7 @@ impl<S> TagStore<S> {
             state: row.state.expect("occupied slot has a state"),
             data: row.data,
             parity_ok: row.parity,
+            stamp: row.stamp,
         }
     }
 
@@ -286,6 +297,7 @@ impl<S> TagStore<S> {
             state: row.state.as_mut().expect("occupied slot has a state"),
             data: &mut row.data,
             parity_ok: &mut row.parity,
+            stamp: &mut row.stamp,
         })
     }
 
@@ -296,12 +308,11 @@ impl<S> TagStore<S> {
 
     /// Applies a broadcast snoop to the line holding `addr` without a
     /// tag scan: with one way per set the slot is forced, so a caller
-    /// that already proves presence (the machine's sharer index) can
-    /// skip `slot_of` entirely. `f` maps the old state to
-    /// `(next, capture)`; on capture the broadcast `word` (if any)
-    /// overwrites the data column. Never touches the replacement clock,
-    /// matching [`TagStore::get_mut`] on a direct-mapped store. Returns
-    /// `(old, next)`.
+    /// that already proves presence can skip `slot_of` entirely. `f`
+    /// maps the old state to `(next, capture)`; on capture the
+    /// broadcast `word` (if any) overwrites the data column. Never
+    /// touches the replacement clock, matching [`TagStore::get_mut`] on
+    /// a direct-mapped store. Returns `(old, next)`.
     ///
     /// # Panics
     ///
@@ -317,36 +328,12 @@ impl<S> TagStore<S> {
     where
         S: Copy,
     {
-        self.apply_broadcast_at(self.geometry.set_of(addr), addr, word, f)
-    }
-
-    /// [`TagStore::apply_broadcast`] with the slot already computed as
-    /// `geometry.set_of(addr)`. Every direct-mapped store of one
-    /// geometry holds `addr` in the same slot, so a broadcast computes it
-    /// once for all sharers and each visit goes straight to the row,
-    /// reading nothing else from the store.
-    ///
-    /// # Panics
-    ///
-    /// As [`TagStore::apply_broadcast`]; also debug-asserts that `slot`
-    /// is `addr`'s set.
-    #[inline]
-    pub fn apply_broadcast_at(
-        &mut self,
-        slot: usize,
-        addr: Addr,
-        word: Option<Word>,
-        f: impl FnOnce(S) -> (S, bool),
-    ) -> (S, S)
-    where
-        S: Copy,
-    {
         debug_assert_eq!(
             self.geometry.ways(),
             1,
             "apply_broadcast requires a forced (direct-mapped) slot"
         );
-        debug_assert_eq!(slot, self.geometry.set_of(addr), "slot is not addr's set");
+        let slot = self.geometry.set_of(addr);
         debug_assert_eq!(
             self.rows[slot].tag,
             self.geometry.block_base(addr).index(),
@@ -368,8 +355,23 @@ impl<S> TagStore<S> {
     /// displaced if the victim held a *different* block.
     ///
     /// Victim selection within the set: an existing entry for the same
-    /// block, else an empty way, else the least recently used way.
+    /// block, else an empty way, else the least recently used way. The
+    /// filled line's stamp is 0.
     pub fn insert(&mut self, addr: Addr, state: S, data: Word) -> Option<EvictedLine<S>> {
+        self.insert_stamped(addr, state, data, 0)
+    }
+
+    /// [`TagStore::insert`] with the filled line's version stamp. The
+    /// stamp is the owner's: the store keeps it beside the line and
+    /// hands it back in every view; only fills (and a restore, to 0)
+    /// set it.
+    pub fn insert_stamped(
+        &mut self,
+        addr: Addr,
+        state: S,
+        data: Word,
+        stamp: u32,
+    ) -> Option<EvictedLine<S>> {
         let base = self.geometry.block_base(addr).index();
         debug_assert_ne!(base, EMPTY_TAG, "address collides with the empty tag");
         let direct_mapped = self.geometry.ways() == 1;
@@ -409,12 +411,14 @@ impl<S> TagStore<S> {
                 state: old_state,
                 data: row.data,
                 parity_ok: row.parity,
+                stamp: row.stamp,
             })
         });
         row.tag = base;
         row.state = Some(state);
         row.data = data;
         row.parity = true;
+        row.stamp = stamp;
         if !direct_mapped {
             self.clock += 1;
             self.lru_stamps[slot] = self.clock;
@@ -432,6 +436,7 @@ impl<S> TagStore<S> {
             state,
             data: row.data,
             parity_ok: row.parity,
+            stamp: row.stamp,
         });
         if removed.is_some() {
             row.tag = EMPTY_TAG;
@@ -470,6 +475,7 @@ impl<S> TagStore<S> {
                 state,
                 data: &mut row.data,
                 parity_ok: &mut row.parity,
+                stamp: &mut row.stamp,
             })
         })
     }
@@ -540,6 +546,7 @@ impl<S> TagStore<S> {
                     row.data = line.data;
                     row.state = Some(state);
                     row.parity = line.parity_ok;
+                    row.stamp = 0;
                     valid += 1;
                 }
                 None => {
@@ -617,6 +624,7 @@ mod tests {
                 state: 'L',
                 data: Word::new(1),
                 parity_ok: true,
+                stamp: 0,
             }
         );
         assert!(!s.contains(Addr::new(3)));
@@ -812,6 +820,21 @@ mod tests {
         };
         let mut target: TagStore<u8> = TagStore::new(Geometry::direct_mapped(2));
         assert!(target.restore_state(ck).is_err());
+    }
+
+    #[test]
+    fn stamps_ride_along_with_their_line() {
+        // The stamp sits in the row's padding: a two-byte state keeps
+        // one line per 24 bytes.
+        assert_eq!(std::mem::size_of::<Row<u8>>(), 24);
+        let mut s = store(4);
+        s.insert_stamped(Addr::new(1), 'R', Word::new(5), 7);
+        assert_eq!(s.get(Addr::new(1)).unwrap().stamp, 7);
+        *s.get_mut(Addr::new(1)).unwrap().stamp = 9;
+        let evicted = s.insert(Addr::new(5), 'I', Word::ZERO).unwrap();
+        assert_eq!(evicted.stamp, 9);
+        assert_eq!(s.get(Addr::new(5)).unwrap().stamp, 0, "insert stamps 0");
+        assert_eq!(s.remove(Addr::new(5)).unwrap().stamp, 0);
     }
 
     #[test]

@@ -142,6 +142,7 @@ pub struct TableProtocol {
     uses_bus_invalidate: bool,
     broadcasts_write_data: bool,
     fill_depends_on_sharers: bool,
+    snoops_never_create_suppliers: bool,
 }
 
 impl TableProtocol {
@@ -187,9 +188,16 @@ impl TableProtocol {
                 _ => false,
             };
         }
+        let snoops_never_create_suppliers = (0..STATES).all(|slot| {
+            SnoopKind::ALL.iter().all(|&kind| {
+                let cell = cells[(slot * INPUTS + input_slot(TableInput::Snoop(kind))) * 2 + 1];
+                cell.supplied || !cell.supplies
+            })
+        });
         TableProtocol {
             cells,
             fill_depends_on_sharers: table.has_guards(),
+            snoops_never_create_suppliers,
             name: table.name,
             states: table.states,
             uses_bus_invalidate: table.uses_bus_invalidate,
@@ -217,6 +225,15 @@ impl TableProtocol {
         other_readable: bool,
     ) -> Option<Effect> {
         self.cells[cell_index(state, input, other_readable)].effect
+    }
+
+    /// Whether no snoop cell turns a line that does not supply snooped
+    /// reads into one that does. When this holds, a broadcast can move
+    /// the supplier index only at the block's current suppliers, so the
+    /// machine may defer applying it to every other holder until that
+    /// line is next read. True for every built-in table.
+    pub fn snoops_never_create_suppliers(&self) -> bool {
+        self.snoops_never_create_suppliers
     }
 
     /// [`Protocol::snoop`] plus whether the line supplies snooped reads

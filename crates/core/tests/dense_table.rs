@@ -405,3 +405,29 @@ fn a_misshapen_effect_panics_with_the_table_name_and_the_cell() {
     }
     let _ = TableProtocol::new(table).own_locked_read_complete(Some(Valid));
 }
+
+/// Every built-in table lets the machine defer broadcasts: no snoop
+/// cell turns a non-supplier into a supplier. A table whose foreign
+/// read promotes an invalid line to the owning `L` state loses the
+/// flag.
+#[test]
+fn no_built_in_snoop_creates_a_supplier() {
+    let kinds = kinds();
+    assert_eq!(kinds.len(), 14, "six named kinds, MESI and RWB(1..=8)");
+    for kind in kinds {
+        assert!(
+            TableProtocol::new(table(kind)).snoops_never_create_suppliers(),
+            "{kind:?}"
+        );
+    }
+    let mut table = table(ProtocolKind::Rb);
+    for rule in &mut table.rules {
+        if rule.from == Some(Invalid) && rule.input == TableInput::Snoop(SnoopKind::Read) {
+            rule.effect = Effect::Next {
+                next: Local,
+                capture: true,
+            };
+        }
+    }
+    assert!(!TableProtocol::new(table).snoops_never_create_suppliers());
+}

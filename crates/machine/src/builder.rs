@@ -56,7 +56,6 @@ pub struct MachineBuilder {
     fail_stop_policy: FailStopPolicy,
     telemetry: bool,
     progress_window: u64,
-    step_threads: usize,
 }
 
 impl std::fmt::Debug for MachineBuilder {
@@ -101,7 +100,6 @@ impl MachineBuilder {
             fail_stop_policy: FailStopPolicy::default(),
             telemetry: false,
             progress_window: crate::DEFAULT_PROGRESS_WINDOW,
-            step_threads: 1,
         }
     }
 
@@ -284,31 +282,6 @@ impl MachineBuilder {
         self
     }
 
-    /// Sets the worker count for the sharded issue phase (default 1 =
-    /// sequential). `0` resolves automatically: the
-    /// `DECACHE_BENCH_THREADS` environment knob if set, else the
-    /// machine's available parallelism — the same convention as
-    /// `decache_analysis::par`. Sharding is deterministic by
-    /// construction (workers compute per-PE decisions against pre-cycle
-    /// state; the main thread commits them in ascending PE order), so
-    /// every statistic and fingerprint is byte-identical to the
-    /// sequential engine; it engages only on cycles with enough idle
-    /// PEs to outweigh the per-cycle thread-spawn cost, and falls back
-    /// whenever tracing, observers, or fault injection are live.
-    pub fn step_threads(&mut self, threads: usize) -> &mut Self {
-        self.step_threads = match threads {
-            0 => match std::env::var("DECACHE_BENCH_THREADS") {
-                Ok(v) => v
-                    .parse()
-                    .unwrap_or_else(|_| panic!("DECACHE_BENCH_THREADS={v} is not a number")),
-                Err(_) => std::thread::available_parallelism().map_or(1, usize::from),
-            },
-            n => n,
-        }
-        .max(1);
-        self
-    }
-
     /// Adds a processing element running the given program.
     pub fn processor(&mut self, processor: Box<dyn Processor + Send>) -> &mut Self {
         self.processors.push(processor);
@@ -398,7 +371,6 @@ impl MachineBuilder {
             self.fail_stop_policy,
             self.telemetry,
             self.progress_window,
-            self.step_threads,
         );
         for observer in std::mem::take(&mut self.observers) {
             machine.attach_observer(observer);

@@ -26,7 +26,7 @@
 
 use super::Machine;
 use crate::processor::ProcessorCheckpoint;
-use crate::sharers::{AddrPeIndex, PeMask};
+use crate::sharers::PeMask;
 use crate::status::{PeStatus, Pending};
 use crate::telemetry::{CycleHistograms, Histogram};
 use crate::{FaultStats, MachineStats, OpResult};
@@ -285,8 +285,6 @@ pub struct MachineCheckpoint {
     pub discipline: String,
     /// The current cycle number.
     pub cycle: u64,
-    /// Engine-path odometer: cycles whose issue phase ran sharded.
-    pub sharded_cycles: u64,
     /// The shared memory.
     pub memory: MemoryCheckpoint,
     /// Every PE's tag store, in PE order.
@@ -563,6 +561,7 @@ impl Machine {
 
         let (words, locks, bad_parity, mem_stats) = self.memory.checkpoint_state();
         let buses = self.routing.bus_count();
+        let geometry = self.caches.geometry();
 
         let mut fault_clock: Vec<FaultClockEntry> = self
             .fault_clock
@@ -581,24 +580,19 @@ impl Machine {
             pes: self.processors.len() as u64,
             bus_count: buses as u64,
             memory_size: self.memory.size(),
-            sets: self.geometry.sets() as u64,
-            ways: self.geometry.ways() as u64,
-            block_words: self.geometry.block_words(),
+            sets: geometry.sets() as u64,
+            ways: geometry.ways() as u64,
+            block_words: geometry.block_words(),
             transaction_cycles: self.transaction_cycles,
             discipline: self.discipline.name().to_string(),
             cycle: self.cycle,
-            sharded_cycles: self.sharded_cycles,
             memory: MemoryCheckpoint {
                 words,
                 locks,
                 bad_parity,
                 stats: mem_stats,
             },
-            caches: self
-                .caches
-                .iter()
-                .map(decache_cache::TagStore::checkpoint_state)
-                .collect(),
+            caches: self.caches.checkpoint_stores(),
             cache_stats: self
                 .cache_stats
                 .iter()
@@ -693,9 +687,10 @@ impl Machine {
         check_shape("PEs", ck.pes, n as u64)?;
         check_shape("buses", ck.bus_count, buses as u64)?;
         check_shape("memory words", ck.memory_size, self.memory.size())?;
-        check_shape("cache sets", ck.sets, self.geometry.sets() as u64)?;
-        check_shape("cache ways", ck.ways, self.geometry.ways() as u64)?;
-        check_shape("block words", ck.block_words, self.geometry.block_words())?;
+        let geometry = self.caches.geometry();
+        check_shape("cache sets", ck.sets, geometry.sets() as u64)?;
+        check_shape("cache ways", ck.ways, geometry.ways() as u64)?;
+        check_shape("block words", ck.block_words, geometry.block_words())?;
         check_shape(
             "transaction cycles",
             ck.transaction_cycles,
@@ -805,8 +800,8 @@ impl Machine {
             .map_err(|e| component("memory", e))?;
 
         for pe in 0..n {
-            self.caches[pe]
-                .restore_state(ck.caches[pe].clone())
+            self.caches
+                .restore_store(pe, ck.caches[pe].clone())
                 .map_err(|e| component(format!("P{pe} cache"), e))?;
             self.cache_stats[pe] =
                 CacheStats::from_checkpoint(ck.cache_stats[pe].hits, ck.cache_stats[pe].misses);
@@ -851,7 +846,6 @@ impl Machine {
         self.bus_free_at.clone_from(&ck.bus_free_at);
         self.stats = ck.stats;
         self.cycle = ck.cycle;
-        self.sharded_cycles = ck.sharded_cycles;
 
         if let (Some(f), Some(engine)) = (&ck.fault, self.faults.as_mut()) {
             engine.rng = Rng::from_state(f.rng_state);
@@ -879,19 +873,7 @@ impl Machine {
 
         // Rebuild the derived fast-path indexes from the restored
         // architectural state, mirroring `Machine::from_parts`.
-        let mut sharers = AddrPeIndex::with_addr_capacity(n, self.memory.size());
-        let mut owners = AddrPeIndex::with_addr_capacity(n, self.memory.size());
-        for (pe, cache) in self.caches.iter().enumerate() {
-            for entry in cache.iter() {
-                sharers.add(entry.addr.index(), pe);
-                if self.protocol.supplies_on_snoop_read(entry.state) {
-                    owners.add(entry.addr.index(), pe);
-                }
-            }
-        }
-        self.sharers = sharers;
-        self.owners = owners;
-        let mut pending_readers = AddrPeIndex::with_addr_capacity(n, self.memory.size());
+        self.caches.reindex();
         let mut idle = PeMask::new(n);
         let mut idle_count = 0;
         let mut done_count = 0;
@@ -903,12 +885,11 @@ impl Machine {
                 }
                 PeStatus::Done | PeStatus::Failed => done_count += 1,
                 PeStatus::WaitBus(Pending::Read { addr, .. }) => {
-                    pending_readers.add(addr.index(), pe);
+                    self.caches.add_pending_reader(addr, pe);
                 }
                 PeStatus::WaitBus(_) => {}
             }
         }
-        self.pending_readers = pending_readers;
         self.idle = idle;
         self.idle_count = idle_count;
         self.done_count = done_count;

@@ -43,6 +43,7 @@
 #![warn(missing_docs)]
 
 mod builder;
+mod caches;
 mod fault;
 mod machine;
 mod op;

@@ -1,8 +1,9 @@
 //! The cycle-based shared-bus MIMD machine.
 
+use crate::caches::{Caches, SkipPes};
 use crate::fault::{FaultEngine, FaultKind, FaultPlan, RecoverySource};
 use crate::outcome::StallSite;
-use crate::sharers::{AddrPeIndex, PeMask};
+use crate::sharers::PeMask;
 use crate::status::{PeStatus, Pending};
 use crate::telemetry::TelemetryState;
 use crate::trace::{CpuDecision, Observation, Observer};
@@ -15,7 +16,6 @@ use decache_bus::{
     TrafficStats,
 };
 use decache_cache::{AccessKind, CacheStats, TagStore};
-use decache_core::introspect::SnoopKind;
 use decache_core::{AnyProtocol, BusIntent, CpuOutcome, LineState, Protocol, SnoopEvent};
 use decache_mem::{Addr, AddrRange, MemError, Memory, PeId, Word};
 use std::collections::HashMap;
@@ -54,7 +54,9 @@ pub struct Machine {
     protocol: AnyProtocol,
     routing: Routing,
     memory: Memory,
-    caches: Vec<TagStore<LineState>>,
+    /// Every PE's cache with the sharer, supplier and pending-read
+    /// indexes, and the broadcasts deferred until a line is read.
+    caches: Caches,
     processors: Vec<Box<dyn Processor + Send>>,
     statuses: Vec<PeStatus>,
     last_results: Vec<Option<OpResult>>,
@@ -78,28 +80,6 @@ pub struct Machine {
     /// Structured protocol-level event subscribers (the conformance
     /// oracle). Notified synchronously; cannot mutate the machine.
     observers: Vec<Box<dyn Observer>>,
-    /// The geometry shared by every cache, for block-base lookups in
-    /// the sharer index.
-    geometry: decache_cache::Geometry,
-    /// Sharer index: for each block base address, the set of caches
-    /// currently holding the block (in any state, including `Invalid` —
-    /// an invalid line still snoops, e.g. to capture an RWB broadcast).
-    /// Maintained at the two presence-mutation points, install and
-    /// evict; lets `find_supplier` and `dispatch_snoop` visit only
-    /// actual holders instead of scanning all `n` caches.
-    sharers: AddrPeIndex,
-    /// Supplier index: for each block base address, the set of caches
-    /// whose line state answers a snooped bus read with its own data
-    /// ([`Protocol::supplies_on_snoop_read`]) — the owned states, so at
-    /// most one bit per address under coherent operation. Kept in sync
-    /// by [`Machine::sync_owner`] at every state transition; lets
-    /// `find_supplier` jump straight to the owning cache instead of
-    /// probing every sharer.
-    owners: AddrPeIndex,
-    /// Pending-read index: for each address, the set of PEs stalled in
-    /// [`Pending::Read`] on it — `satisfy_pending_reads` consults this
-    /// instead of scanning every PE per bus transaction.
-    pending_readers: AddrPeIndex,
     /// The set of PEs in [`PeStatus::Idle`], so `issue_phase` skips
     /// stalled and finished PEs without touching them.
     idle: PeMask,
@@ -140,90 +120,7 @@ pub struct Machine {
     /// this `None` check, and recording never changes any simulated
     /// statistic.
     telemetry: Option<Box<TelemetryState>>,
-    /// `true` when broadcast snoops may take the batched bitset path:
-    /// a single bus (every PE attached, no routing filter) and
-    /// direct-mapped caches (the slot for an address is forced, so
-    /// sharer-index membership proves the tag matches without a probe).
-    /// Computed once from the machine shape; the per-dispatch check
-    /// additionally requires [`Machine::faults_possible`] to be false.
-    batch_snoop: bool,
-    /// Worker count for the sharded issue phase; `<= 1` keeps the
-    /// sequential scan unconditionally.
-    step_threads: usize,
-    /// Per-PE issue decisions computed by the sharded issue phase's
-    /// workers against pre-cycle state, committed by the main thread in
-    /// ascending PE order. Empty unless `step_threads > 1`.
-    issue_decisions: Vec<IssueDecision>,
-    /// Cycles whose issue phase ran sharded — an engine-path odometer
-    /// (not a simulated statistic), so equivalence tests can prove the
-    /// shard gate actually engaged.
-    sharded_cycles: u64,
 }
-
-/// The caches a snoop dispatch must skip: the transaction's `initiator`
-/// (its own line is completed by `install`, not by snooping), and on
-/// the interrupt path the `supplier` (its line just transitioned via
-/// `after_supply`). Named fields so call sites cannot transpose the two
-/// — `dispatch_snoop` once took two positional `Option<usize>`s.
-#[derive(Debug, Clone, Copy, Default)]
-struct SkipPes {
-    initiator: Option<usize>,
-    supplier: Option<usize>,
-}
-
-impl SkipPes {
-    /// Skip only the transaction's initiator.
-    fn initiator(pe: usize) -> Self {
-        SkipPes {
-            initiator: Some(pe),
-            supplier: None,
-        }
-    }
-
-    /// Additionally skip the supplying cache (interrupt path).
-    fn with_supplier(mut self, pe: usize) -> Self {
-        self.supplier = Some(pe);
-        self
-    }
-
-    /// Whether `pe` is one of the skip slots.
-    fn skips(&self, pe: usize) -> bool {
-        self.initiator == Some(pe) || self.supplier == Some(pe)
-    }
-}
-
-/// One PE's issue-phase outcome, computed by a sharded worker against
-/// the immutable pre-cycle state and committed on the main thread. Only
-/// effects that touch *shared* machine state travel here — per-PE
-/// effects (cache update, hit statistics, `last_results`) are applied
-/// in place by the worker, exactly as the sequential path does.
-#[derive(Debug, Clone, Copy, Default)]
-enum IssueDecision {
-    /// Nothing to commit: the PE was not idle, returned `Poll::Wait`,
-    /// or completed a hit with no supplier-index delta.
-    #[default]
-    None,
-    /// The program halted.
-    Halt,
-    /// A cache hit whose state transition may move the supplier index.
-    Hit {
-        addr: Addr,
-        was: LineState,
-        now: LineState,
-    },
-    /// A miss or Test-and-Set: enqueue `op` on `addr`'s bus and stall
-    /// on `pending`.
-    Enqueue {
-        addr: Addr,
-        op: BusOp,
-        pending: Pending,
-    },
-}
-
-/// Sharding engages only when at least this many PEs are idle: a
-/// `std::thread::scope` spawn costs microseconds per worker per cycle,
-/// so small issue scans are faster sequentially.
-const SHARD_MIN_IDLE: usize = 128;
 
 /// Which halt condition a [`Machine::run_loop`] call waits for.
 #[derive(Clone, Copy)]
@@ -263,7 +160,6 @@ impl Machine {
         fail_stop_policy: FailStopPolicy,
         telemetry: bool,
         progress_window: u64,
-        step_threads: usize,
     ) -> Self {
         let n = processors.len();
         let buses = routing.bus_count();
@@ -273,27 +169,12 @@ impl Machine {
             transaction_cycles >= 1,
             "transactions take at least one cycle"
         );
-        let geometry = caches.first().map_or_else(
-            || decache_cache::Geometry::direct_mapped(1),
-            TagStore::geometry,
+        let caches = Caches::new(
+            caches,
+            protocol.clone(),
+            memory.size(),
+            routing.bus_count() == 1,
         );
-        assert!(
-            caches.iter().all(|c| c.geometry() == geometry),
-            "the sharer index requires all caches to share one geometry"
-        );
-        // Preallocate the per-address index slots (4 bytes each) for
-        // the whole memory range, so no run grows them; bitset rows are
-        // pooled only for blocks with two or more members.
-        let mut sharers = AddrPeIndex::with_addr_capacity(n, memory.size());
-        let mut owners = AddrPeIndex::with_addr_capacity(n, memory.size());
-        for (pe, cache) in caches.iter().enumerate() {
-            for entry in cache.iter() {
-                sharers.add(entry.addr.index(), pe);
-                if protocol.supplies_on_snoop_read(entry.state) {
-                    owners.add(entry.addr.index(), pe);
-                }
-            }
-        }
         let mut idle = PeMask::new(n);
         for pe in 0..n {
             idle.set(pe);
@@ -301,10 +182,6 @@ impl Machine {
         Machine {
             protocol,
             routing,
-            geometry,
-            sharers,
-            owners,
-            pending_readers: AddrPeIndex::with_addr_capacity(n, memory.size()),
             memory,
             caches,
             statuses: vec![PeStatus::Idle; n],
@@ -335,14 +212,6 @@ impl Machine {
             last_progress: vec![0; n],
             last_addr: vec![None; n],
             telemetry: telemetry.then(|| Box::new(TelemetryState::new(n))),
-            batch_snoop: routing.bus_count() == 1 && geometry.ways() == 1,
-            step_threads,
-            issue_decisions: if step_threads > 1 {
-                vec![IssueDecision::None; n]
-            } else {
-                Vec::new()
-            },
-            sharded_cycles: 0,
         }
     }
 
@@ -387,12 +256,8 @@ impl Machine {
     }
 
     /// Mutable cache access for fault injection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pe` is out of range.
-    pub(crate) fn cache_mut(&mut self, pe: usize) -> &mut TagStore<LineState> {
-        &mut self.caches[pe]
+    pub(crate) fn caches_mut(&mut self) -> &mut Caches {
+        &mut self.caches
     }
 
     /// The number of bus cycles elapsed.
@@ -446,7 +311,7 @@ impl Machine {
     ///
     /// Panics if `pe >= self.pe_count()`.
     pub fn cache_line(&self, pe: usize, addr: Addr) -> Option<(LineState, Word)> {
-        self.caches[pe].get(addr).map(|e| (e.state, e.data))
+        self.caches.view(pe, addr).map(|e| (e.state, e.data))
     }
 
     /// Snapshot of every cache's view of `addr` plus the memory value —
@@ -788,37 +653,9 @@ impl Machine {
         }
     }
 
-    fn line_state(&self, pe: usize, addr: Addr) -> Option<LineState> {
-        self.caches[pe].state_of(addr)
-    }
-
     /// The sharer-index key for `addr`: its block base address.
     fn block_base(&self, addr: Addr) -> u64 {
-        self.geometry.block_base(addr).index()
-    }
-
-    /// Re-syncs the supplier index after PE `pe`'s line for `addr`
-    /// transitioned from `was` to `now` (`None` = no line held). Every
-    /// state mutation site must call this — the brute-force recompute in
-    /// [`Machine::assert_fast_path_invariants`] checks they all do.
-    #[inline]
-    fn sync_owner(
-        &mut self,
-        pe: usize,
-        addr: Addr,
-        was: Option<LineState>,
-        now: Option<LineState>,
-    ) {
-        let owned = was.is_some_and(|s| self.protocol.supplies_on_snoop_read(s));
-        let owns = now.is_some_and(|s| self.protocol.supplies_on_snoop_read(s));
-        if owned != owns {
-            let base = self.block_base(addr);
-            if owns {
-                self.owners.add(base, pe);
-            } else {
-                self.owners.remove(base, pe);
-            }
-        }
+        self.caches.geometry().block_base(addr).index()
     }
 
     /// The single gate for PE status transitions: keeps the idle set,
@@ -831,7 +668,7 @@ impl Machine {
             }
             PeStatus::Done | PeStatus::Failed => self.done_count -= 1,
             PeStatus::WaitBus(Pending::Read { addr, .. }) => {
-                self.pending_readers.remove(addr.index(), pe);
+                self.caches.remove_pending_reader(addr, pe);
             }
             PeStatus::WaitBus(_) => {}
         }
@@ -842,7 +679,7 @@ impl Machine {
             }
             PeStatus::Done | PeStatus::Failed => self.done_count += 1,
             PeStatus::WaitBus(Pending::Read { addr, .. }) => {
-                self.pending_readers.add(addr.index(), pe);
+                self.caches.add_pending_reader(addr, pe);
             }
             PeStatus::WaitBus(_) => {}
         }
@@ -962,9 +799,9 @@ impl Machine {
                     let live = live();
                     if !live.is_empty() {
                         let pe = *engine.rng.choose(&live);
-                        if !caches[pe].is_empty() {
-                            let k = engine.rng.gen_range(0..caches[pe].len());
-                            let addr = caches[pe].iter().nth(k).expect("k < len").addr;
+                        if caches.len(pe) > 0 {
+                            let k = engine.rng.gen_range(0..caches.len(pe));
+                            let addr = caches.nth_line_addr(pe, k).expect("k < len");
                             faults.push(FaultKind::CacheFlip { pe, addr });
                         }
                     }
@@ -1048,16 +885,12 @@ impl Machine {
             .expect("cache flip requires an engine")
             .rng
             .gen_range(0..64u64);
-        let base = self.geometry.block_base(addr);
-        // `iter_mut`, not `get_mut`: a fault must not touch the LRU
-        // clock, or injection would perturb replacement decisions.
-        let Some(entry) = self.caches[pe].iter_mut().find(|e| e.addr == base) else {
+        let base = self.caches.geometry().block_base(addr);
+        if !self.caches.flip_bit(pe, base, bit) {
             // A scheduled flip of a line that is not cached when its
             // cycle comes is a no-op (and not counted).
             return;
-        };
-        *entry.data = Word::new(entry.data.value() ^ (1 << bit));
-        *entry.parity_ok = false;
+        }
         self.fault_stats.cache_faults_injected += 1;
         self.fault_clock
             .insert((Some(pe), base.index()), self.cycle);
@@ -1085,7 +918,7 @@ impl Machine {
         pe: usize,
         addr: Addr,
     ) -> Option<decache_cache::Entry<LineState>> {
-        self.caches[pe].get(addr)
+        self.caches.view(pe, addr)
     }
 
     /// Closes the detection-latency ledger entry for the fault at index
@@ -1104,13 +937,11 @@ impl Machine {
     /// refetch observes older memory). Returns `true` if a line was
     /// scrubbed.
     fn scrub_if_corrupt(&mut self, pe: usize, addr: Addr) -> bool {
-        match self.caches[pe].get(addr) {
+        match self.caches.view(pe, addr) {
             Some(entry) if !entry.parity_ok => {}
             _ => return false,
         }
-        let removed = self.caches[pe].remove(addr).expect("entry just seen");
-        self.sharers.remove(removed.addr.index(), pe);
-        self.sync_owner(pe, removed.addr, Some(removed.state), None);
+        let removed = self.caches.remove(pe, addr).expect("entry just seen");
         let lost_write = removed.state.owns_latest();
         self.fault_stats.cache_faults_detected += 1;
         self.fault_stats.cache_refetches += 1;
@@ -1226,15 +1057,10 @@ impl Machine {
         }
         let released = self.memory.release_locks_held_by(pe_id);
         self.fault_stats.forced_unlocks += released.len() as u64;
-        let lines: Vec<(Addr, LineState, Word, bool)> = self.caches[pe]
-            .iter()
-            .map(|e| (e.addr, e.state, e.data, e.parity_ok))
-            .collect();
         let mut drained = 0u32;
         let mut lost = 0u32;
-        for (addr, state, data, parity_ok) in lines {
-            self.sharers.remove(addr.index(), pe);
-            self.sync_owner(pe, addr, Some(state), None);
+        for line in self.caches.drain(pe) {
+            let (addr, state, data, parity_ok) = (line.addr, line.state, line.data, line.parity_ok);
             self.fault_clock.remove(&(Some(pe), addr.index()));
             if !state.owns_latest() {
                 continue;
@@ -1267,7 +1093,6 @@ impl Machine {
                 }
             }
         }
-        self.caches[pe].clear();
         self.fault_stats.pe_fail_stops += 1;
         self.fault_stats.drained_lines += u64::from(drained);
         self.fault_stats.lost_writes += u64::from(lost);
@@ -1298,8 +1123,8 @@ impl Machine {
         addr: Addr,
         allow_majority: bool,
     ) -> Option<(Word, RecoverySource)> {
-        for (pe, cache) in self.caches.iter().enumerate() {
-            if let Some(e) = cache.get(addr) {
+        for pe in 0..self.pe_count() {
+            if let Some(e) = self.caches.view(pe, addr) {
                 if e.parity_ok && e.state.owns_latest() {
                     return Some((e.data, RecoverySource::Owner { pe }));
                 }
@@ -1309,8 +1134,8 @@ impl Machine {
             return None;
         }
         let mut votes: HashMap<Word, usize> = HashMap::new();
-        for cache in &self.caches {
-            if let Some(e) = cache.get(addr) {
+        for pe in 0..self.pe_count() {
+            if let Some(e) = self.caches.view(pe, addr) {
                 if e.parity_ok && e.state.is_readable_locally() {
                     *votes.entry(e.data).or_insert(0) += 1;
                 }
@@ -1325,20 +1150,6 @@ impl Machine {
     // ----- issue phase ------------------------------------------------
 
     fn issue_phase(&mut self) {
-        // The sharded path computes the same decisions from the same
-        // pre-cycle state and commits them in the same ascending PE
-        // order, so it is byte-identical — but it cannot interleave
-        // trace records, observer notifications, or parity scrubs the
-        // way the sequential loop does, so any of those falls back.
-        if self.step_threads > 1
-            && self.idle_count >= SHARD_MIN_IDLE
-            && self.observers.is_empty()
-            && !self.trace.is_enabled()
-            && !self.faults_possible()
-        {
-            self.issue_phase_sharded();
-            return;
-        }
         // Cursor over the idle bitset: handling one PE never changes
         // another PE's status, so this visits exactly the PEs the old
         // full scan found idle, in the same ascending order.
@@ -1350,89 +1161,6 @@ impl Machine {
                 crate::Poll::Halt => self.set_status(pe, PeStatus::Done),
                 crate::Poll::Wait => {}
                 crate::Poll::Op(op) => self.start_op(pe, op),
-            }
-        }
-    }
-
-    /// The issue phase fanned over a `std::thread::scope` worker pool.
-    /// Workers own disjoint PE ranges — each PE's decision reads only
-    /// its own processor, cache, and per-PE scratch, all sliced out of
-    /// `self` by range — and record shared-state effects as
-    /// [`IssueDecision`]s. The main thread then commits decisions (bus
-    /// enqueues, status changes, supplier-index deltas) in ascending PE
-    /// order, so arbitration, RNG draws, and statistics are
-    /// byte-identical to the sequential scan.
-    fn issue_phase_sharded(&mut self) {
-        self.sharded_cycles += 1;
-        let n = self.processors.len();
-        if self.issue_decisions.len() != n {
-            self.issue_decisions = vec![IssueDecision::None; n];
-        }
-        let chunk = n.div_ceil(self.step_threads).max(1);
-        let cycle = self.cycle;
-        let Machine {
-            processors,
-            last_results,
-            caches,
-            cache_stats,
-            last_progress,
-            last_addr,
-            issue_decisions,
-            idle,
-            protocol,
-            ..
-        } = self;
-        let idle: &PeMask = idle;
-        let protocol: &AnyProtocol = protocol;
-        let probes = std::thread::scope(|scope| {
-            let shards = processors
-                .chunks_mut(chunk)
-                .zip(last_results.chunks_mut(chunk))
-                .zip(caches.chunks_mut(chunk))
-                .zip(cache_stats.chunks_mut(chunk))
-                .zip(last_progress.chunks_mut(chunk))
-                .zip(last_addr.chunks_mut(chunk))
-                .zip(issue_decisions.chunks_mut(chunk));
-            let handles: Vec<_> = shards
-                .enumerate()
-                .map(|(w, shard)| {
-                    let ((((((procs, results), caches), stats), progress), addrs), decisions) =
-                        shard;
-                    let start = w * chunk;
-                    scope.spawn(move || {
-                        issue_worker(
-                            start, procs, results, caches, stats, progress, addrs, decisions, idle,
-                            protocol, cycle,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("issue worker panicked"))
-                .sum::<u64>()
-        });
-        self.stats.tag_probes += probes;
-        for pe in 0..n {
-            match std::mem::take(&mut self.issue_decisions[pe]) {
-                IssueDecision::None => {}
-                IssueDecision::Halt => self.set_status(pe, PeStatus::Done),
-                IssueDecision::Hit { addr, was, now } => {
-                    self.sync_owner(pe, addr, Some(was), Some(now));
-                }
-                IssueDecision::Enqueue { addr, op, pending } => {
-                    // Mirror `start_op`'s exact effect order on shared
-                    // state: telemetry mark, then enqueue (which itself
-                    // re-arms the arbitration clock), then the status
-                    // gate.
-                    match pending {
-                        Pending::Read { .. } => self.mark_read_miss(pe),
-                        Pending::LockedRead { .. } => self.mark_ts_issued(pe),
-                        _ => {}
-                    }
-                    self.enqueue(PeId::new(pe as u16), addr, op);
-                    self.set_status(pe, PeStatus::WaitBus(pending));
-                }
             }
         }
     }
@@ -1454,7 +1182,7 @@ impl Machine {
                 // decision and the hit path's state-and-data access.
                 self.stats.tag_probes += 1;
                 let mut hit = None;
-                let outcome = match self.caches[pe].get_mut(addr) {
+                let outcome = match self.caches.probe(pe, addr) {
                     Some(entry) => {
                         let outcome = self.protocol.cpu_read(Some(*entry.state));
                         if let CpuOutcome::Hit { next } = outcome {
@@ -1470,7 +1198,7 @@ impl Machine {
                     CpuOutcome::Hit { .. } => {
                         let (old, next, value) = hit.expect("hit requires a held line");
                         if next != old {
-                            self.sync_owner(pe, addr, Some(old), Some(next));
+                            self.caches.sync_owner(pe, addr, Some(old), Some(next));
                         }
                         self.cache_stats[pe].record(AccessKind::Read, op.class, true);
                         self.last_progress[pe] = self.cycle;
@@ -1510,7 +1238,7 @@ impl Machine {
                 // Same single-probe structure as the read path above.
                 self.stats.tag_probes += 1;
                 let mut hit = None;
-                let outcome = match self.caches[pe].get_mut(addr) {
+                let outcome = match self.caches.probe(pe, addr) {
                     Some(entry) => {
                         let outcome = self.protocol.cpu_write(Some(*entry.state));
                         if let CpuOutcome::Hit { next } = outcome {
@@ -1527,7 +1255,7 @@ impl Machine {
                     CpuOutcome::Hit { .. } => {
                         let (old, next) = hit.expect("hit requires a held line");
                         if next != old {
-                            self.sync_owner(pe, addr, Some(old), Some(next));
+                            self.caches.sync_owner(pe, addr, Some(old), Some(next));
                         }
                         self.cache_stats[pe].record(AccessKind::Write, op.class, true);
                         self.last_progress[pe] = self.cycle;
@@ -1691,44 +1419,20 @@ impl Machine {
     fn find_supplier(&self, addr: Addr) -> Option<usize> {
         let bus = self.routing.bus_of(addr);
         let all_attached = self.routing.bus_count() == 1;
-        let base = self.block_base(addr);
         let mut cursor = 0;
-        while let Some(pe) = self.owners.next_from(base, cursor) {
+        while let Some(pe) = self.caches.next_owner(addr, cursor) {
             cursor = pe + 1;
             if all_attached || self.routing.is_attached(pe, bus, self.pe_count()) {
                 debug_assert!(
-                    self.line_state(pe, addr)
-                        .is_some_and(|s| self.protocol.supplies_on_snoop_read(s)),
+                    self.caches
+                        .view(pe, addr)
+                        .is_some_and(|e| self.protocol.supplies_on_snoop_read(e.state)),
                     "supplier index names P{pe} for {addr} but its line does not supply"
                 );
                 return Some(pe);
             }
         }
         None
-    }
-
-    /// Does any cache other than `pe` hold `addr` in a locally-readable
-    /// state? Samples the guarded-fill bit for protocols whose read-miss
-    /// fill depends on sharing (MESI). Walks the sharer index (which
-    /// includes `Invalid` holders, hence the per-holder tag probe, which
-    /// is counted honestly).
-    fn other_readable_holder(&mut self, pe: usize, addr: Addr) -> bool {
-        let base = self.block_base(addr);
-        let mut cursor = 0;
-        while let Some(holder) = self.sharers.next_from(base, cursor) {
-            cursor = holder + 1;
-            if holder == pe {
-                continue;
-            }
-            self.stats.tag_probes += 1;
-            if self
-                .line_state(holder, addr)
-                .is_some_and(decache_core::LineState::is_readable_locally)
-            {
-                return true;
-            }
-        }
-        false
     }
 
     fn execute_read(&mut self, bus: usize, tx: BusTransaction) {
@@ -1749,15 +1453,17 @@ impl Machine {
             // cache state or the owner index, so the hoist is inert.
             self.stats.tag_probes += 1;
             let (data, old, next) = {
-                let entry = self.caches[supplier]
-                    .get_mut(addr)
+                let entry = self
+                    .caches
+                    .probe(supplier, addr)
                     .expect("supplier holds the line");
                 let old = *entry.state;
                 let next = self.protocol.after_supply(old);
                 *entry.state = next;
                 (*entry.data, old, next)
             };
-            self.sync_owner(supplier, addr, Some(old), Some(next));
+            self.caches
+                .sync_owner(supplier, addr, Some(old), Some(next));
             self.memory
                 .write(addr, data)
                 .expect("supplier write-back in range");
@@ -1835,7 +1541,7 @@ impl Machine {
         // Paper protocols short-circuit here and skip the tag walk.
         let shared = !locked
             && self.protocol.fill_depends_on_sharers()
-            && self.other_readable_holder(pe, addr);
+            && self.caches.other_readable_holder(pe, addr, &mut self.stats);
 
         // Broadcast: every other holder snoops the returned value.
         let event = if locked {
@@ -1846,7 +1552,7 @@ impl Machine {
         self.dispatch_snoop(addr, event, SkipPes::initiator(tx.initiator.index()));
 
         // The initiator's own line fills.
-        let prior = self.line_state(pe, addr);
+        let prior = self.caches.current(pe, addr).map(|e| e.state);
         // A guard-free table fills identically under either sample.
         let next = if locked {
             self.protocol.own_locked_read_complete(prior)
@@ -1942,7 +1648,7 @@ impl Machine {
         self.dispatch_snoop(addr, event, SkipPes::initiator(tx.initiator.index()));
 
         let pe = tx.initiator.index();
-        let prior = self.line_state(pe, addr);
+        let prior = self.caches.current(pe, addr).map(|e| e.state);
         let next = if unlock {
             self.protocol.own_unlock_write_complete(prior)
         } else {
@@ -1983,7 +1689,7 @@ impl Machine {
         );
 
         let pe = tx.initiator.index();
-        let prior = self.line_state(pe, addr);
+        let prior = self.caches.current(pe, addr).map(|e| e.state);
         let next = self.protocol.own_complete(prior, BusIntent::Invalidate);
         // The invalidate carries no bus payload; the CPU value travels on
         // the pending record.
@@ -2007,119 +1713,32 @@ impl Machine {
     }
 
     /// Dispatches a snoop event to every cache holding `addr` except the
-    /// [`SkipPes`] slots. Consults the sharer index, so only actual
-    /// holders are visited — in ascending PE order on both paths, so
-    /// observable behaviour is bit-identical whichever one runs.
+    /// [`SkipPes`] slots, and counts one sharer visit and one tag probe
+    /// per holder reached, whichever path runs. The deferred path (see
+    /// [`Caches::broadcast`]) needs a shape and protocol that allow it
+    /// and no possible fault, since it has no parity heal; every other
+    /// machine takes the per-sharer scan, in ascending PE order.
     fn dispatch_snoop(&mut self, addr: Addr, event: SnoopEvent, skip: SkipPes) {
-        // The batched path requires per-sharer outcomes that cannot
-        // diverge: no parity faults to heal, no fault engine, and a
-        // machine shape with no per-sharer attachment filter.
-        if self.batch_snoop && !self.faults_possible() {
-            self.dispatch_snoop_batched(addr, event, skip);
-        } else {
-            self.dispatch_snoop_scan(addr, event, skip);
+        if self.caches.defers() && !self.faults_possible() {
+            self.caches.broadcast(addr, event, skip, &mut self.stats);
+            return;
         }
-    }
-
-    /// The batched broadcast application: walks `addr`'s sharer bitset
-    /// word at a time, popcounts the aggregate visit/probe work, and
-    /// applies the protocol's snoop transition straight into each SoA
-    /// tag store via [`TagStore::apply_broadcast_at`] — no per-sharer tag
-    /// scan, skip test, or attachment check. Only runs on shapes where
-    /// that is exact (see [`Machine::dispatch_snoop`]); a line's
-    /// parity is provably good here (bad parity implies
-    /// `faults_possible`), so the heal path cannot be needed.
-    fn dispatch_snoop_batched(&mut self, addr: Addr, event: SnoopEvent, skip: SkipPes) {
-        let base = self.block_base(addr);
-        let word = event.word();
-        let kind = SnoopKind::of(event);
-        // Every cache shares one direct-mapped geometry: one slot for
-        // all sharers.
-        let slot = self.geometry.set_of(addr);
-        // Disjoint field borrows: the sharer words are only read —
-        // snooping never evicts a line (even a snoop to Invalid leaves
-        // it present), so membership is stable across the loop.
-        let Machine {
-            sharers,
-            caches,
-            owners,
-            protocol,
-            stats,
-            ..
-        } = self;
-        for (w, mut bits) in sharers.words(base) {
-            for skip_pe in [skip.initiator, skip.supplier].into_iter().flatten() {
-                if skip_pe / 64 == w {
-                    bits &= !(1u64 << (skip_pe % 64));
-                }
-            }
-            stats.sharer_visits += u64::from(bits.count_ones());
-            stats.tag_probes += u64::from(bits.count_ones());
-            while bits != 0 {
-                let pe = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                // One table cell decides the transition and the
-                // supplier-index update (`sync_owner` over the
-                // destructured borrows).
-                let mut owner = (false, false);
-                caches[pe].apply_broadcast_at(slot, addr, word, |s| {
-                    let step = protocol.snoop_step(s, kind);
-                    owner = (step.supplied, step.supplies);
-                    (step.outcome.next, step.outcome.capture)
-                });
-                match owner {
-                    (false, true) => owners.add(base, pe),
-                    (true, false) => owners.remove(base, pe),
-                    _ => {}
-                }
-            }
-        }
-    }
-
-    /// The per-sharer scan path: one cursor step, skip test, attachment
-    /// check, and tag probe per holder. Handles every machine shape and
-    /// the fault paths (parity heals) the batched path excludes.
-    fn dispatch_snoop_scan(&mut self, addr: Addr, event: SnoopEvent, skip: SkipPes) {
         let bus = self.routing.bus_of(addr);
         let n = self.pe_count();
         // On a single-bus machine every PE is attached; hoist the check
         // out of the per-sharer loop.
         let all_attached = self.routing.bus_count() == 1;
-        let base = self.block_base(addr);
-        let mut healed: Vec<usize> = Vec::new();
-        let mut cursor = 0;
-        while let Some(pe) = self.sharers.next_from(base, cursor) {
-            cursor = pe + 1;
-            if skip.skips(pe) || !(all_attached || self.routing.is_attached(pe, bus, n)) {
-                continue;
-            }
-            self.stats.sharer_visits += 1;
-            self.stats.tag_probes += 1;
-            if let Some(entry) = self.caches[pe].get_mut(addr) {
-                let old = *entry.state;
-                let out = self.protocol.snoop(old, event);
-                *entry.state = out.next;
-                if out.capture {
-                    if let Some(word) = event.word() {
-                        *entry.data = word;
-                        if !*entry.parity_ok {
-                            // The captured broadcast overwrites the
-                            // corrupted word before anyone read it: the
-                            // line is healed in place (the RWB-family
-                            // bonus of write broadcasting).
-                            *entry.parity_ok = true;
-                            healed.push(pe);
-                        }
-                    }
-                }
-                if out.next != old {
-                    self.sync_owner(pe, addr, Some(old), Some(out.next));
-                }
-            }
-        }
+        let routing = self.routing;
+        let healed = self.caches.snoop_each(
+            addr,
+            event,
+            skip,
+            |pe| all_attached || routing.is_attached(pe, bus, n),
+            &mut self.stats,
+        );
         for pe in healed {
             self.fault_stats.broadcast_heals += 1;
-            self.take_latency(Some(pe), base);
+            self.take_latency(Some(pe), self.block_base(addr));
             self.record(TraceKind::Recover, Some(PeId::new(pe as u16)), || {
                 format!("broadcast healed corrupted line {addr}")
             });
@@ -2127,20 +1746,20 @@ impl Machine {
         }
     }
 
-    /// Test hook: forces the per-sharer scan path even on machines
-    /// whose shape qualifies for batched broadcast application, for
-    /// batched-vs-scan equivalence tests.
+    /// Test hook: sends every later broadcast down the per-sharer scan
+    /// path even on machines that may defer them, for deferred-vs-scan
+    /// equivalence tests.
     #[doc(hidden)]
     pub fn force_scan_snoop(&mut self) {
-        self.batch_snoop = false;
+        self.caches.force_scan();
     }
 
-    /// Test hook: how many cycles ran their issue phase through the
-    /// sharded worker pool, so equivalence tests can assert the gate
-    /// engaged. An engine-path odometer, never a simulated statistic.
+    /// Test hook: how many times a cache line caught up on deferred
+    /// broadcasts. An engine-path odometer, never a simulated
+    /// statistic.
     #[doc(hidden)]
-    pub fn sharded_cycles(&self) -> u64 {
-        self.sharded_cycles
+    pub fn materializations(&self) -> u64 {
+        self.caches.materializations()
     }
 
     /// Installs a line after a completed bus transaction, handling the
@@ -2157,12 +1776,7 @@ impl Machine {
         data: Word,
     ) {
         self.stats.tag_probes += 1;
-        let evicted = self.caches[pe].insert(addr, state, data);
-        self.sharers.add(self.block_base(addr), pe);
-        self.sync_owner(pe, addr, prior, Some(state));
-        if let Some(evicted) = evicted {
-            self.sharers.remove(evicted.addr.index(), pe);
-            self.sync_owner(pe, evicted.addr, Some(evicted.state), None);
+        if let Some(evicted) = self.caches.install(pe, addr, prior, state, data) {
             let writeback = self.protocol.writeback_on_evict(evicted.state);
             if writeback {
                 self.memory
@@ -2210,7 +1824,7 @@ impl Machine {
         // Cursor over the pending-read bitset: `finish` clears the
         // visited PE's own bit and nothing else, so the scan is exact.
         let mut cursor = 0;
-        while let Some(pe) = self.pending_readers.next_from(addr.index(), cursor) {
+        while let Some(pe) = self.caches.next_pending_reader(addr, cursor) {
             cursor = pe + 1;
             self.stats.sharer_visits += 1;
             self.stats.tag_probes += 1;
@@ -2218,7 +1832,7 @@ impl Machine {
                 self.statuses[pe],
                 PeStatus::WaitBus(Pending::Read { addr: want, .. }) if want == addr
             ));
-            let Some(entry) = self.caches[pe].get(addr) else {
+            let Some(entry) = self.caches.current(pe, addr) else {
                 continue;
             };
             // A corrupted line cannot satisfy a read — the pending bus
@@ -2259,44 +1873,7 @@ impl Machine {
     /// Panics (with the offending PE/address) if any index diverges.
     #[doc(hidden)]
     pub fn assert_fast_path_invariants(&self) {
-        self.sharers.assert_well_formed("sharer");
-        self.owners.assert_well_formed("supplier");
-        self.pending_readers.assert_well_formed("pending-read");
-        let mut cached_lines = 0;
-        let mut supplying_lines = 0;
-        for (pe, cache) in self.caches.iter().enumerate() {
-            assert_eq!(cache.len(), cache.iter().count(), "cached len for P{pe}");
-            for entry in cache.iter() {
-                cached_lines += 1;
-                assert!(
-                    self.sharers.contains(entry.addr.index(), pe),
-                    "sharer index misses P{pe} holding {}",
-                    entry.addr
-                );
-                let supplies = self.protocol.supplies_on_snoop_read(entry.state);
-                if supplies {
-                    supplying_lines += 1;
-                }
-                assert_eq!(
-                    self.owners.contains(entry.addr.index(), pe),
-                    supplies,
-                    "supplier index disagrees with P{pe}'s {:?} line at {}",
-                    entry.state,
-                    entry.addr
-                );
-            }
-        }
-        assert_eq!(
-            self.sharers.total(),
-            cached_lines,
-            "sharer index has stale holder bits"
-        );
-        assert_eq!(
-            self.owners.total(),
-            supplying_lines,
-            "supplier index has stale owner bits"
-        );
-
+        let pending_index = self.caches.assert_invariants();
         let mut pending_reads = 0;
         let mut idle = 0;
         let mut done = 0;
@@ -2310,7 +1887,7 @@ impl Machine {
                 PeStatus::WaitBus(Pending::Read { addr, .. }) => {
                     pending_reads += 1;
                     assert!(
-                        self.pending_readers.contains(addr.index(), pe),
+                        self.caches.is_pending_reader(addr, pe),
                         "pending-read index misses P{pe} waiting on {addr}"
                     );
                 }
@@ -2321,8 +1898,7 @@ impl Machine {
         assert_eq!(self.idle.total(), idle, "idle set has stale bits");
         assert_eq!(self.done_count, done, "done_count drifted");
         assert_eq!(
-            self.pending_readers.total(),
-            pending_reads,
+            pending_index, pending_reads,
             "pending-read index has stale bits"
         );
 
@@ -2342,160 +1918,4 @@ impl Machine {
             );
         }
     }
-}
-
-/// One sharded issue worker: the `start_op` decision logic over the PE
-/// range `[start, start + len)`, restricted to per-PE state. Mirrors
-/// the sequential path exactly — same probe, same protocol call, same
-/// per-PE bookkeeping — with shared-state effects deferred to
-/// [`IssueDecision`]s. Returns the worker's tag-probe count.
-///
-/// The fault, trace, and observer interleavings of the sequential path
-/// are absent by the sharding gate (`issue_phase` falls back when any
-/// of them is live), so skipping them here cannot diverge.
-#[allow(clippy::too_many_arguments)]
-fn issue_worker(
-    start: usize,
-    processors: &mut [Box<dyn Processor + Send>],
-    results: &mut [Option<OpResult>],
-    caches: &mut [TagStore<LineState>],
-    cache_stats: &mut [CacheStats],
-    last_progress: &mut [u64],
-    last_addr: &mut [Option<Addr>],
-    decisions: &mut [IssueDecision],
-    idle: &PeMask,
-    protocol: &AnyProtocol,
-    cycle: u64,
-) -> u64 {
-    use crate::Access;
-    let end = start + processors.len();
-    let mut probes = 0u64;
-    let mut cursor = start;
-    while let Some(pe) = idle.next_from(cursor) {
-        if pe >= end {
-            break;
-        }
-        cursor = pe + 1;
-        let i = pe - start;
-        let last = results[i].take();
-        let op = match processors[i].next_op(last.as_ref()) {
-            crate::Poll::Halt => {
-                decisions[i] = IssueDecision::Halt;
-                continue;
-            }
-            crate::Poll::Wait => continue,
-            crate::Poll::Op(op) => op,
-        };
-        last_addr[i] = Some(op.access.addr());
-        match op.access {
-            Access::Read(addr) => {
-                probes += 1;
-                let mut hit = None;
-                let outcome = match caches[i].get_mut(addr) {
-                    Some(entry) => {
-                        let outcome = protocol.cpu_read(Some(*entry.state));
-                        if let CpuOutcome::Hit { next } = outcome {
-                            let old = *entry.state;
-                            *entry.state = next;
-                            hit = Some((old, next, *entry.data));
-                        }
-                        outcome
-                    }
-                    None => protocol.cpu_read(None),
-                };
-                match outcome {
-                    CpuOutcome::Hit { .. } => {
-                        let (old, next, value) = hit.expect("hit requires a held line");
-                        cache_stats[i].record(AccessKind::Read, op.class, true);
-                        last_progress[i] = cycle;
-                        results[i] = Some(OpResult::Read(value));
-                        if next != old {
-                            decisions[i] = IssueDecision::Hit {
-                                addr,
-                                was: old,
-                                now: next,
-                            };
-                        }
-                    }
-                    CpuOutcome::Miss { intent } => {
-                        debug_assert_eq!(intent, BusIntent::Read, "read misses issue bus reads");
-                        cache_stats[i].record(AccessKind::Read, op.class, false);
-                        decisions[i] = IssueDecision::Enqueue {
-                            addr,
-                            op: BusOp::Read,
-                            pending: Pending::Read {
-                                addr,
-                                class: op.class,
-                            },
-                        };
-                    }
-                }
-            }
-            Access::Write(addr, value) => {
-                probes += 1;
-                let mut hit = None;
-                let outcome = match caches[i].get_mut(addr) {
-                    Some(entry) => {
-                        let outcome = protocol.cpu_write(Some(*entry.state));
-                        if let CpuOutcome::Hit { next } = outcome {
-                            let old = *entry.state;
-                            *entry.state = next;
-                            *entry.data = value;
-                            hit = Some((old, next));
-                        }
-                        outcome
-                    }
-                    None => protocol.cpu_write(None),
-                };
-                match outcome {
-                    CpuOutcome::Hit { .. } => {
-                        let (old, next) = hit.expect("hit requires a held line");
-                        cache_stats[i].record(AccessKind::Write, op.class, true);
-                        last_progress[i] = cycle;
-                        results[i] = Some(OpResult::Write);
-                        if next != old {
-                            decisions[i] = IssueDecision::Hit {
-                                addr,
-                                was: old,
-                                now: next,
-                            };
-                        }
-                    }
-                    CpuOutcome::Miss { intent } => {
-                        let bus_op = match intent {
-                            BusIntent::Write => BusOp::Write(value),
-                            BusIntent::Invalidate => BusOp::Invalidate,
-                            BusIntent::Read => {
-                                unreachable!("{} asked to read on a write", protocol.name())
-                            }
-                        };
-                        cache_stats[i].record(AccessKind::Write, op.class, false);
-                        decisions[i] = IssueDecision::Enqueue {
-                            addr,
-                            op: bus_op,
-                            pending: Pending::Write {
-                                addr,
-                                value,
-                                class: op.class,
-                            },
-                        };
-                    }
-                }
-            }
-            Access::TestAndSet(addr, set_to) => {
-                // "The initial read-with-lock does not reference the
-                // value in the cache" — always a bus operation.
-                decisions[i] = IssueDecision::Enqueue {
-                    addr,
-                    op: BusOp::ReadWithLock,
-                    pending: Pending::LockedRead {
-                        addr,
-                        set_to,
-                        class: op.class,
-                    },
-                };
-            }
-        }
-    }
-    probes
 }

@@ -83,7 +83,7 @@ impl Machine {
                 pes: self.pe_count(),
             });
         }
-        match self.cache_mut(pe).get_mut(addr) {
+        match self.caches_mut().probe(pe, addr) {
             Some(entry) => {
                 *entry.data = garbage;
                 *entry.parity_ok = false;

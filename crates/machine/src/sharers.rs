@@ -182,6 +182,14 @@ impl AddrPeIndex {
         r
     }
 
+    /// Empties every set, keeping the slots and the pooled rows'
+    /// memory.
+    pub(crate) fn clear(&mut self) {
+        self.slots.fill(EMPTY);
+        self.rows.clear();
+        self.free.clear();
+    }
+
     /// Adds `pe` to `addr`'s set (idempotent).
     pub(crate) fn add(&mut self, addr: u64, pe: usize) {
         let a = addr as usize;
@@ -229,18 +237,13 @@ impl AddrPeIndex {
         }
     }
 
-    /// `addr`'s set as `(word index, bits)` pairs, bit `pe % 64` of
-    /// word `pe / 64`, in ascending word order — the batched broadcast
-    /// path iterates these directly (popcount for aggregate counts,
-    /// trailing-zeros for members in ascending PE order). Words that
-    /// hold no member may be left out.
-    pub(crate) fn words(&self, addr: u64) -> impl Iterator<Item = (usize, u64)> + '_ {
-        let (one, row) = match self.slot(addr) {
-            Slot::Empty => (None, &[][..]),
-            Slot::One(pe) => (Some((pe / 64, bit(pe))), &[][..]),
-            Slot::Row(r) => (None, self.row(r)),
-        };
-        one.into_iter().chain(row.iter().copied().enumerate())
+    /// The number of members of `addr`'s set.
+    pub(crate) fn count(&self, addr: u64) -> usize {
+        match self.slot(addr) {
+            Slot::Empty => 0,
+            Slot::One(_) => 1,
+            Slot::Row(r) => self.row(r).iter().map(|w| w.count_ones() as usize).sum(),
+        }
     }
 
     /// The first PE `>= from` in `addr`'s set, in ascending order — the
@@ -256,14 +259,7 @@ impl AddrPeIndex {
     /// Total number of members across all addresses (invariant checks
     /// only — O(index size)).
     pub(crate) fn total(&self) -> usize {
-        self.slots
-            .iter()
-            .map(|&slot| match decode(slot) {
-                Slot::Empty => 0,
-                Slot::One(_) => 1,
-                Slot::Row(r) => self.row(r).iter().map(|w| w.count_ones() as usize).sum(),
-            })
-            .sum()
+        (0..self.slots.len() as u64).map(|a| self.count(a)).sum()
     }
 
     /// Asserts the representation invariant: every inline member fits
@@ -415,13 +411,11 @@ mod tests {
         idx.add(1, 129);
         idx.add(1, 3);
         assert_eq!(idx.rows.len(), idx.stride, "one pooled row");
-        assert_eq!(
-            idx.words(1).collect::<Vec<_>>(),
-            vec![(0, 1 << 3), (1, 0), (2, 1 << 1)]
-        );
+        assert_eq!(idx.count(1), 2);
+        assert!(idx.contains(1, 3) && idx.contains(1, 129));
         idx.remove(1, 129);
         assert_eq!(idx.free, vec![0], "the row went back to the free list");
-        assert_eq!(idx.words(1).collect::<Vec<_>>(), vec![(0, 1 << 3)]);
+        assert_eq!((idx.count(1), idx.next_from(1, 0)), (1, Some(3)));
         idx.assert_well_formed("test");
         idx.add(2, 0);
         idx.add(2, 64);
@@ -484,17 +478,7 @@ mod tests {
                 assert_eq!(&walked, set, "next_from walk at {addr}");
                 let from = rng.gen_range(0..=pes);
                 assert_eq!(idx.next_from(addr, from), set.range(from..).next().copied());
-                let mut rebuilt = BTreeSet::new();
-                let mut last_word = None;
-                for (w, mut bits) in idx.words(addr) {
-                    assert!(last_word < Some(w), "words out of order at {addr}");
-                    last_word = Some(w);
-                    while bits != 0 {
-                        rebuilt.insert(w * 64 + bits.trailing_zeros() as usize);
-                        bits &= bits - 1;
-                    }
-                }
-                assert_eq!(&rebuilt, set, "words() at {addr}");
+                assert_eq!(idx.count(addr), set.len(), "count() at {addr}");
                 for &pe in &palette {
                     assert_eq!(idx.contains(addr, pe), set.contains(&pe));
                 }

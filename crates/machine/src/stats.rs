@@ -30,12 +30,13 @@ pub struct MachineStats {
     /// Deterministic work units: logical tag-store accesses (issue
     /// probes, snoop applications, supplier reads, installs,
     /// pending-read checks). Counts *logical* work, so every engine
-    /// path — sequential or sharded, scanned or batched — reports the
+    /// path — scanned or deferred — reports the
     /// same number; a machine-independent perf proxy gated in CI.
     pub tag_probes: u64,
     /// Deterministic work units: per-holder visits during broadcast
     /// snoop dispatch plus pending-reader visits after bus
-    /// transactions — the broadcast fan-out the batched path amortizes.
+    /// transactions — the broadcast fan-out the deferred path avoids
+    /// paying for.
     pub sharer_visits: u64,
     /// Deterministic work units: arbitration scans of a non-empty bus
     /// queue (one per granted cycle; dead and held cycles scan

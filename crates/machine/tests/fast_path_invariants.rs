@@ -8,7 +8,8 @@
 //! comparison). A second test pins the wake schedule's *semantics*:
 //! a run that bulk-skips dead cycles must be indistinguishable —
 //! cycle count, every statistic, every cache line, all of memory —
-//! from the same machine single-stepped.
+//! from the same machine single-stepped. The rest pin the deferred
+//! broadcast path to the per-sharer scan it replaces.
 //!
 //! Runs under `decache_rng::testing::check`, so a divergence prints a
 //! replayable seed (`DECACHE_TEST_SEED=<seed>`); `DECACHE_TEST_CASES`
@@ -20,7 +21,7 @@ use decache_machine::{FaultPlan, Machine, MachineBuilder, Script};
 use decache_mem::{Addr, Word};
 use decache_rng::Rng;
 
-const PROTOCOLS: [ProtocolKind; 7] = [
+const PROTOCOLS: [ProtocolKind; 8] = [
     ProtocolKind::Rb,
     ProtocolKind::RbNoBroadcast,
     ProtocolKind::Rwb,
@@ -28,6 +29,7 @@ const PROTOCOLS: [ProtocolKind; 7] = [
     ProtocolKind::RwbThreshold(3),
     ProtocolKind::WriteOnce,
     ProtocolKind::WriteThrough,
+    ProtocolKind::Mesi,
 ];
 
 const MEMORY_WORDS: u64 = 256;
@@ -70,14 +72,14 @@ fn random_addr(rng: &mut Rng, shape: Shape, pe: usize, pes: usize) -> Addr {
 /// Builds a machine with random protocol, PE count, bus shape, cache
 /// size, and per-PE scripts mixing reads, writes, and Test-and-Set.
 fn build_random(rng: &mut Rng) -> Machine {
-    build_random_config(rng, 1, None)
+    build_random_config(rng, None)
 }
 
-/// [`build_random`] with an issue-phase worker count and an optional
-/// seeded fault storm (memory/cache flips, bus losses, fail stops)
-/// layered on the same drawn configuration — the RNG draw sequence is
-/// untouched, so one seed pins one machine under every engine path.
-fn build_random_config(rng: &mut Rng, threads: usize, fault_seed: Option<u64>) -> Machine {
+/// [`build_random`] with an optional seeded fault storm (memory/cache
+/// flips, bus losses, fail stops) layered on the same drawn
+/// configuration — the RNG draw sequence is untouched, so one seed
+/// pins one machine under every engine path.
+fn build_random_config(rng: &mut Rng, fault_seed: Option<u64>) -> Machine {
     let kind = *rng.choose(&PROTOCOLS);
     let shape = *rng.choose(&[
         Shape::Single,
@@ -127,7 +129,6 @@ fn build_random_config(rng: &mut Rng, threads: usize, fault_seed: Option<u64>) -
         }
         builder.processor(script.build());
     }
-    builder.step_threads(threads);
     if let Some(seed) = fault_seed {
         builder.fault_plan(
             FaultPlan::new(seed)
@@ -256,118 +257,110 @@ fn wake_schedule_matches_single_stepping() {
 }
 
 /// Two machines from the same seed, one on the default snoop dispatch
-/// (batched over the sharer bitset where the shape allows) and one
-/// forced onto the per-sharer scan path, must agree on everything
-/// observable — including the work-unit counters, which count logical
-/// work and so must be path-independent. A third of the corpus layers
-/// a fault storm on both machines: faults force the scan path at
-/// runtime, so the dispatcher's fallback is exercised too, and the
-/// fault histories must coincide exactly. Covers all 7 protocols and
-/// every bus shape via `build_random_config`.
+/// (deferred where the shape allows) and one forced onto the
+/// per-sharer scan path, must agree on everything observable —
+/// including the work-unit counters, which count logical work and so
+/// must be path-independent. A third of the corpus layers a fault storm
+/// on both machines: faults force the scan path at runtime, so the
+/// dispatcher's fallback is exercised too, and the fault histories must
+/// coincide exactly. Covers all 7 paper protocols, MESI, and every bus
+/// shape via `build_random_config`; the corpus as a whole must actually
+/// defer and materialize lines.
 #[test]
-fn batched_broadcast_matches_forced_scan() {
-    decache_rng::testing::check("batched_vs_scan", 48, |rng| {
+fn deferred_broadcast_matches_forced_scan() {
+    let mut materialized = 0;
+    decache_rng::testing::check("deferred_vs_scan", 64, |rng| {
         let seed = rng.next_u64();
         let fault_seed = rng.gen_bool(0.33).then(|| rng.next_u64());
-        let mut batched = build_random_config(&mut Rng::from_seed(seed), 1, fault_seed);
-        let mut scanned = build_random_config(&mut Rng::from_seed(seed), 1, fault_seed);
+        let mut deferred = build_random_config(&mut Rng::from_seed(seed), fault_seed);
+        let mut scanned = build_random_config(&mut Rng::from_seed(seed), fault_seed);
         scanned.force_scan_snoop();
 
-        assert!(batched.run(300_000), "batched machine failed to terminate");
+        assert!(
+            deferred.run(300_000),
+            "deferred machine failed to terminate"
+        );
         assert!(scanned.run(300_000), "scanned machine failed to terminate");
-        batched.assert_fast_path_invariants();
+        deferred.assert_fast_path_invariants();
         scanned.assert_fast_path_invariants();
-        assert_observably_identical(&batched, &scanned, "batched vs scan", seed);
+        assert_observably_identical(&deferred, &scanned, "deferred vs scan", seed);
+        assert_eq!(scanned.materializations(), 0, "the scan path deferred");
+        materialized += deferred.materializations();
     });
+    assert!(materialized > 0, "no case deferred a broadcast");
 }
 
-/// Two machines from the same seed, one sequential and one built with
-/// `step_threads(4)`, must agree on everything observable. Small
-/// random machines sit below the shard gate's idle floor, so this
-/// corpus pins the gate's *inertness* (the plumbing must not perturb a
-/// machine it never engages for); the companion 256-PE test below
-/// drives the gate itself.
+/// Deferred and scan machines from the same seed, stepped side by side
+/// one cycle at a time. After every step each machine's invariant check
+/// materializes every line and checks the supplier index against the
+/// materialized states; at seeded cycles the two machines' checkpoints
+/// (every line written in its materialized form) must be equal. The
+/// shapes are fault-free, so the deferred machine never falls back.
 #[test]
-fn sharded_issue_plumbing_is_inert_below_the_gate() {
-    decache_rng::testing::check("sharded_vs_sequential", 32, |rng| {
+fn deferred_and_scan_machines_agree_at_every_step() {
+    decache_rng::testing::check("deferred_vs_scan_stepped", 32, |rng| {
         let seed = rng.next_u64();
-        let fault_seed = rng.gen_bool(0.25).then(|| rng.next_u64());
-        let mut seq = build_random_config(&mut Rng::from_seed(seed), 1, fault_seed);
-        let mut sharded = build_random_config(&mut Rng::from_seed(seed), 4, fault_seed);
-
-        assert!(seq.run(300_000), "sequential machine failed to terminate");
-        assert!(sharded.run(300_000), "sharded machine failed to terminate");
-        assert_eq!(sharded.sharded_cycles(), 0, "gate engaged below the floor");
-        assert_observably_identical(&seq, &sharded, "sharded vs sequential", seed);
+        let mut deferred = build_random(&mut Rng::from_seed(seed));
+        let mut scanned = build_random(&mut Rng::from_seed(seed));
+        scanned.force_scan_snoop();
+        let mut steps = 0u64;
+        while !deferred.is_done() {
+            deferred.step();
+            scanned.step();
+            deferred.assert_fast_path_invariants();
+            scanned.assert_fast_path_invariants();
+            if rng.gen_bool(0.05) || deferred.is_done() {
+                assert_eq!(
+                    deferred.checkpoint().expect("script machines checkpoint"),
+                    scanned.checkpoint().expect("script machines checkpoint"),
+                    "checkpoints differ after cycle {} (seed {seed})",
+                    deferred.cycles()
+                );
+            }
+            steps += 1;
+            assert!(steps < 200_000, "random machine failed to terminate");
+        }
+        assert!(
+            scanned.is_done(),
+            "scan machine still running (seed {seed})"
+        );
+        assert_observably_identical(&deferred, &scanned, "stepped deferred vs scan", seed);
     });
 }
 
-/// A 256-PE machine whose PEs mostly hit their warmed private words —
-/// so well over 128 PEs stay idle-and-issuing per cycle, holding the
-/// shard gate open — with periodic hot-word writes for coherence
-/// traffic. The sharded run must engage (checked via the engine-path
-/// odometer) and remain byte-identical to the sequential engine.
+/// A 64-PE RB machine whose PEs share a handful of hot words: the
+/// deferred path must log broadcasts that most holders never read, so
+/// far fewer lines materialize than the logical sharer visits — with
+/// every statistic and line equal to the scan path's.
 #[test]
-fn sharded_issue_engages_and_matches_at_256_pes() {
-    sharded_issue_at_256_pes(ServiceDiscipline::PerCycle);
-}
-
-/// The same 256-PE shard-gate scenario under split-transaction bus
-/// mode: the issue phase runs sharded while address phases sit in
-/// flight awaiting their data phases, so the worker pool and the
-/// split queue state must compose without perturbing a single
-/// statistic. This is the scenario TSan instruments end to end.
-#[test]
-fn sharded_issue_engages_and_matches_under_split_transactions() {
-    sharded_issue_at_256_pes(ServiceDiscipline::Split);
-}
-
-fn sharded_issue_at_256_pes(discipline: ServiceDiscipline) {
-    let build = |threads: usize| -> Machine {
-        const PES: usize = 256;
-        let mut builder = MachineBuilder::new(ProtocolKind::Rwb);
-        builder
-            .memory_words(1 << 12)
-            .cache_lines(16)
-            .discipline(discipline)
-            .transaction_cycles(3)
-            .step_threads(threads);
-        for pe in 0..PES {
-            let base = 1024 + pe as u64 * 8;
+fn deferred_broadcasts_materialize_far_fewer_lines_than_they_visit() {
+    let build = || -> Machine {
+        let mut builder = MachineBuilder::new(ProtocolKind::Rb);
+        builder.memory_words(1 << 12).cache_lines(64);
+        for pe in 0..64u64 {
             let mut script = Script::new();
-            for w in 0..4u64 {
-                script = script.read(Addr::new(base + w));
-            }
-            for i in 0..96u64 {
-                script = if (i + pe as u64).is_multiple_of(24) {
-                    script.write(Addr::new(i % 16), Word::new(pe as u64 * 1000 + i))
+            for i in 0..48u64 {
+                let hot = Addr::new(i % 4);
+                script = if (i + pe).is_multiple_of(16) {
+                    script.write(hot, Word::new(pe * 1000 + i))
                 } else {
-                    script.read(Addr::new(base + i % 4))
+                    script.read(hot)
                 };
             }
             builder.processor(script.build());
         }
         builder.build()
     };
-
-    let mut seq = build(1);
-    let mut sharded = build(4);
-    assert!(seq.run(1_000_000), "sequential machine failed to terminate");
+    let mut deferred = build();
+    let mut scanned = build();
+    scanned.force_scan_snoop();
+    assert!(deferred.run(1_000_000) && scanned.run(1_000_000));
+    deferred.assert_fast_path_invariants();
+    assert_observably_identical(&deferred, &scanned, "hot words at 64 PEs", 0);
+    let visits = deferred.stats().sharer_visits;
     assert!(
-        sharded.run(1_000_000),
-        "sharded machine failed to terminate"
-    );
-    assert_eq!(seq.sharded_cycles(), 0);
-    assert!(
-        sharded.sharded_cycles() > 0,
-        "the shard gate never engaged at 256 PEs"
-    );
-    seq.assert_fast_path_invariants();
-    sharded.assert_fast_path_invariants();
-    assert_observably_identical(
-        &seq,
-        &sharded,
-        &format!("sharded issue at 256 PEs under {discipline}"),
-        0,
+        deferred.materializations() > 0 && deferred.materializations() * 4 < visits,
+        "{} materializations for {visits} sharer visits",
+        deferred.materializations()
     );
 }

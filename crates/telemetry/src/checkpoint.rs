@@ -749,7 +749,9 @@ pub fn checkpoint_to_json(ck: &MachineCheckpoint) -> Json {
         ("transaction_cycles", Json::U64(ck.transaction_cycles)),
         ("discipline", Json::Str(ck.discipline.clone())),
         ("cycle", Json::U64(ck.cycle)),
-        ("sharded_cycles", Json::U64(ck.sharded_cycles)),
+        // The retired sharded issue phase's odometer: still written, as
+        // 0, so the format is unchanged.
+        ("sharded_cycles", Json::U64(0)),
         ("memory", memory_to_json(&ck.memory)),
         (
             "caches",
@@ -825,6 +827,8 @@ pub fn checkpoint_from_json(value: &Json) -> Result<MachineCheckpoint, String> {
     let raw_version = uint(value, "version")?;
     let version = u32::try_from(raw_version)
         .map_err(|_| format!("field 'version' = {raw_version} overflows u32"))?;
+    // Still required, so the format is unchanged; its value is ignored.
+    uint(value, "sharded_cycles")?;
     Ok(MachineCheckpoint {
         version,
         protocol: string(value, "protocol")?.to_string(),
@@ -837,7 +841,6 @@ pub fn checkpoint_from_json(value: &Json) -> Result<MachineCheckpoint, String> {
         transaction_cycles: uint(value, "transaction_cycles")?,
         discipline: string(value, "discipline")?.to_string(),
         cycle: uint(value, "cycle")?,
-        sharded_cycles: uint(value, "sharded_cycles")?,
         memory: memory_from_json(field(value, "memory")?).map_err(|e| format!("memory: {e}"))?,
         caches: items(value, "caches", tag_store_from_json)?,
         cache_stats: items(value, "cache_stats", cache_stats_from_json)?,

@@ -993,7 +993,7 @@ impl MetricsSnapshot {
         // sharer or pending-reader visit probes exactly one tag store,
         // every issued CPU reference probes one, and every
         // broadcast-satisfied read was one pending-reader visit — on
-        // both the scanned and the batched dispatch path.
+        // both the scanned and the deferred dispatch path.
         if m.work_units() > 0 {
             check(
                 m.tag_probes >= m.sharer_visits,
