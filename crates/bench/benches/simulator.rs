@@ -1,8 +1,8 @@
 //! Timing harness: machine simulation throughput per protocol on the
 //! mixed workload (the engine behind experiments E13, E9, E10), protocol
-//! decisions through the dense table and the hand-coded state machines,
-//! deferred versus per-sharer broadcast application, machine set-up at
-//! 1024 PEs, and the JSON codec on a 1024-PE checkpoint.
+//! decisions through the dense table, deferred versus per-sharer
+//! broadcast application, machine set-up at 1024 PEs, and the JSON codec
+//! on a 1024-PE checkpoint.
 
 use decache_bench::time_case;
 use decache_core::{AnyProtocol, LineState, Protocol, ProtocolKind, SnoopEvent};
@@ -69,7 +69,7 @@ impl Decisions {
         Decisions { cpu, snoop }
     }
 
-    fn run<P: Protocol + ?Sized>(&self, p: &P) {
+    fn run<P: Protocol>(&self, p: &P) {
         for &(state, write) in &self.cpu {
             black_box(if write {
                 p.cpu_write(state)
@@ -171,9 +171,7 @@ fn main() {
     });
 
     // Protocol decisions, 2^19 CPU references and 2^19 snoops per
-    // iteration: the dense table every protocol runs on, and the
-    // hand-coded state machines behind a `Box<dyn Protocol>` as the
-    // reference.
+    // iteration, through the dense table every protocol runs on.
     for kind in [
         ProtocolKind::Rb,
         ProtocolKind::Rwb,
@@ -185,11 +183,5 @@ fn main() {
         time_case(&format!("protocol/decide/{kind}"), 10, || {
             decisions.run(&dense);
         });
-        if kind != ProtocolKind::Mesi {
-            let fsm = kind.build();
-            time_case(&format!("protocol/decide_fsm/{kind}"), 10, || {
-                decisions.run(fsm.as_ref());
-            });
-        }
     }
 }

@@ -12,10 +12,11 @@
 //! declared state is unreachable.
 //!
 //! The dead-rule baseline lives with the **static** analyzer
-//! (`protocol_lint`, pinned by `crates/verify/src/static_baseline.txt`),
-//! whose abstraction-based dead set subsumes this checker's coverage at
-//! every `n`; regenerate it with
-//! `protocol_lint --print-baseline <path>`.
+//! (`protocol_lint`, pinned by `crates/verify/src/static_baseline.txt`;
+//! regenerate it with `protocol_lint --print-baseline <path>`). Its
+//! statically dead rules are dead in every machine explored here, but
+//! not the converse, so this checker's fixed-`n` totality and
+//! unreachable-state gate is not implied by the analyzer.
 
 use decache_analysis::TextTable;
 use decache_bench::{banner, par};

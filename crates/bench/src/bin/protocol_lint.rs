@@ -1,13 +1,12 @@
 //! The static protocol-analyzer gate: per-rule proofs for every
 //! protocol, without state-space exploration at any fixed `n`.
 //!
-//! For each of the eight protocols (the paper's seven schemes plus the
-//! table-defined MESI), runs `decache_verify::static_check`: the rule
-//! table — compiled from the hand-coded implementation, or MESI's
-//! native IR — is proven total, deterministic, and PE-symmetric per
-//! rule, and the coherence invariants are proven preserved **for all
-//! cache counts at once** via the counting-abstraction small-model
-//! argument. Statically dead rules are compared against the committed
+//! For each of the eight protocols (the paper's seven schemes plus
+//! MESI), runs `decache_verify::static_check`: the rule table the
+//! machine runs (`decache_core::ir::kind_table`) is proven total,
+//! deterministic, and PE-symmetric per rule, and the coherence
+//! invariants are proven preserved **for all cache counts at once** via
+//! the counting-abstraction small-model argument. Statically dead rules are compared against the committed
 //! baseline in `crates/verify/src/static_baseline.txt`.
 //!
 //! Exits non-zero — failing CI — on any analyzer diagnostic, any
@@ -72,7 +71,7 @@ fn main() -> ExitCode {
     ]);
     let mut failures = Vec::new();
     for (kind, analysis) in static_check::ANALYZED_KINDS.iter().zip(&analyses) {
-        let rules = decache_protocol_ir::table_for(*kind).rules.len();
+        let rules = decache_core::ir::kind_table(*kind).rules.len();
         let mut problems = Vec::new();
         if !analysis.proved() {
             problems.push(format!("{} diagnostics", analysis.diagnostics.len()));

@@ -180,8 +180,8 @@ pub fn transition_table(protocol: &dyn Protocol) -> Vec<TransitionRow> {
 /// # Examples
 ///
 /// ```
-/// use decache_core::{to_dot, transition_table, Rb};
-/// let dot = to_dot("RB", &transition_table(&Rb::new()));
+/// use decache_core::{to_dot, transition_table, AnyProtocol, ProtocolKind};
+/// let dot = to_dot("RB", &transition_table(&AnyProtocol::build(ProtocolKind::Rb)));
 /// assert!(dot.starts_with("digraph"));
 /// assert!(dot.contains("R -> L"));
 /// ```
@@ -207,7 +207,7 @@ pub fn to_dot(title: &str, rows: &[TransitionRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Rb, Rwb, WriteOnce};
+    use crate::{AnyProtocol, ProtocolKind};
     use LineState::{FirstWrite, Invalid, Local, Readable};
 
     fn find(rows: &[TransitionRow], from: LineState, stimulus: Stimulus) -> &TransitionRow {
@@ -218,7 +218,7 @@ mod tests {
 
     #[test]
     fn rb_table_matches_figure_3_1() {
-        let rows = transition_table(&Rb::new());
+        let rows = transition_table(&AnyProtocol::build(ProtocolKind::Rb));
         // 3 states x 4 stimuli (no BI edge for RB).
         assert_eq!(rows.len(), 12);
 
@@ -251,7 +251,7 @@ mod tests {
 
     #[test]
     fn rwb_table_matches_figure_5_1() {
-        let rows = transition_table(&Rwb::new());
+        let rows = transition_table(&AnyProtocol::build(ProtocolKind::Rwb));
         // 4 states x 5 stimuli (BI included).
         assert_eq!(rows.len(), 20);
 
@@ -289,13 +289,13 @@ mod tests {
 
     #[test]
     fn write_once_has_no_capture_edges() {
-        let rows = transition_table(&WriteOnce::new());
+        let rows = transition_table(&AnyProtocol::build(ProtocolKind::WriteOnce));
         assert!(rows.iter().all(|r| r.modifier != "capture data"));
     }
 
     #[test]
     fn dot_output_is_wellformed() {
-        let rows = transition_table(&Rb::new());
+        let rows = transition_table(&AnyProtocol::build(ProtocolKind::Rb));
         let dot = to_dot("RB", &rows);
         assert!(dot.starts_with("digraph \"RB\" {"));
         assert!(dot.trim_end().ends_with('}'));
@@ -305,7 +305,7 @@ mod tests {
 
     #[test]
     fn row_display_is_readable() {
-        let rows = transition_table(&Rb::new());
+        let rows = transition_table(&AnyProtocol::build(ProtocolKind::Rb));
         let r = find(&rows, Invalid, Stimulus::CpuRead);
         assert_eq!(r.to_string(), "I --CR [generate BR]--> R");
         let r = find(&rows, Readable, Stimulus::CpuRead);

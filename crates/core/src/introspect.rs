@@ -195,9 +195,9 @@ impl fmt::Display for TransitionKey {
 /// # Examples
 ///
 /// ```
-/// use decache_core::{introspect, Rb};
+/// use decache_core::{introspect, AnyProtocol, ProtocolKind};
 ///
-/// let keys = introspect::transition_domain(&Rb::new());
+/// let keys = introspect::transition_domain(&AnyProtocol::build(ProtocolKind::Rb));
 /// // RB: NP + 3 states, no BI rows.
 /// assert!(keys.iter().all(|k| !k.to_string().contains("BI")));
 /// ```
@@ -244,7 +244,7 @@ pub fn transition_domain(protocol: &dyn Protocol) -> Vec<TransitionKey> {
                 input: TableInput::Snoop(kind),
             });
         }
-        if probe(protocol, state, |p, s| p.supplies_on_snoop_read(s)) == Some(true) {
+        if protocol.supplies_on_snoop_read(state) {
             keys.push(TransitionKey {
                 state: Some(state),
                 input: TableInput::Supply,
@@ -257,15 +257,6 @@ pub fn transition_domain(protocol: &dyn Protocol) -> Vec<TransitionKey> {
     }
     keys.sort();
     keys
-}
-
-/// Runs a protocol query, converting a panic into `None`.
-fn probe<R>(
-    protocol: &dyn Protocol,
-    state: LineState,
-    query: impl FnOnce(&dyn Protocol, LineState) -> R,
-) -> Option<R> {
-    catch_unwind(AssertUnwindSafe(|| query(protocol, state))).ok()
 }
 
 /// Probes the outcome of one table cell, rendered as a short stable
@@ -315,11 +306,15 @@ pub fn probe_outcome(protocol: &dyn Protocol, key: TransitionKey) -> Option<Stri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ProtocolKind, Rb};
+    use crate::{AnyProtocol, ProtocolKind};
+
+    fn rb() -> AnyProtocol {
+        AnyProtocol::build(ProtocolKind::Rb)
+    }
 
     #[test]
     fn rb_domain_has_no_bi_rows_and_one_supply_row() {
-        let keys = transition_domain(&Rb::new());
+        let keys = transition_domain(&rb());
         assert!(keys
             .iter()
             .all(|k| !matches!(k.input, TableInput::Snoop(SnoopKind::Invalidate))));
@@ -336,8 +331,7 @@ mod tests {
 
     #[test]
     fn rwb_domain_includes_bi_rows() {
-        let rwb = ProtocolKind::Rwb.build();
-        let keys = transition_domain(rwb.as_ref());
+        let keys = transition_domain(&ProtocolKind::Rwb.build());
         assert!(keys
             .iter()
             .any(|k| matches!(k.input, TableInput::Snoop(SnoopKind::Invalidate))));
@@ -356,9 +350,9 @@ mod tests {
         ];
         for kind in kinds {
             let p = kind.build();
-            for key in transition_domain(p.as_ref()) {
+            for key in transition_domain(&p) {
                 assert!(
-                    probe_outcome(p.as_ref(), key).is_some(),
+                    probe_outcome(&p, key).is_some(),
                     "{kind}: non-total handling of {key}"
                 );
             }
@@ -377,7 +371,7 @@ mod tests {
             input: TableInput::Snoop(SnoopKind::UnlockWrite),
         };
         assert_eq!(key.to_string(), "R --snoop:BWU");
-        let mut keys = transition_domain(&Rb::new());
+        let mut keys = transition_domain(&rb());
         let sorted = keys.clone();
         keys.reverse();
         keys.sort();
@@ -386,7 +380,7 @@ mod tests {
 
     #[test]
     fn probe_reports_outcomes() {
-        let rb = Rb::new();
+        let rb = rb();
         let out = probe_outcome(
             &rb,
             TransitionKey {

@@ -9,17 +9,15 @@
 //! decision is then one index computation and one load, for every
 //! protocol alike.
 
-use super::{Effect, RuleTable};
+use super::{Effect, RuleTable, MAX_K};
 use crate::introspect::{SnoopKind, TableInput, TransitionKey};
-use crate::{
-    BusIntent, CpuOutcome, LineState, Protocol, ProtocolKind, Rwb, SnoopEvent, SnoopOutcome,
-};
+use crate::{BusIntent, CpuOutcome, LineState, Protocol, ProtocolKind, SnoopEvent, SnoopOutcome};
 use std::fmt;
 
 /// State axis (see [`state_slot`]): eight positions, then
 /// `FirstWrite(0..=MAX_K)` and one slot for larger counts, which never
 /// holds a rule.
-const STATES: usize = 8 + Rwb::MAX_K as usize + 2;
+const STATES: usize = 8 + MAX_K as usize + 2;
 /// Input axis: CR, CW, own:BR/BW/BI, own:BRL, own:BWU, the five snoops,
 /// supply, evict.
 const INPUTS: usize = 14;
@@ -44,7 +42,7 @@ fn state_slot(state: Option<LineState>) -> usize {
         None => 7,
     };
     let offset = match state {
-        Some(LineState::FirstWrite(c)) => 5 + usize::from(c.min(Rwb::MAX_K + 1)),
+        Some(LineState::FirstWrite(c)) => 5 + usize::from(c.min(MAX_K + 1)),
         _ => 0,
     };
     position + offset
@@ -117,7 +115,7 @@ pub struct SnoopStep {
 /// the table has no rule for it or the rule's effect has the wrong shape
 /// — exactly the situations the static analyzer in `decache-protocol-ir`
 /// proves absent before a table is ever run. [`TableProtocol::new`]
-/// panics on a rule for a `FirstWrite` count above [`Rwb::MAX_K`], which
+/// panics on a rule for a `FirstWrite` count above [`MAX_K`], which
 /// the dense layout has no slot for.
 ///
 /// # Examples
@@ -151,16 +149,15 @@ impl TableProtocol {
     /// # Panics
     ///
     /// Panics if a rule's from-state is `FirstWrite(c)` with
-    /// `c > Rwb::MAX_K`.
+    /// `c > MAX_K`.
     pub fn new(table: RuleTable) -> Self {
         let mut cells = [Cell::EMPTY; CELLS];
         for rule in &table.rules {
             if let Some(LineState::FirstWrite(c)) = rule.from {
                 assert!(
-                    c <= Rwb::MAX_K,
-                    "{}: rule {rule} names a state outside the dense table (FirstWrite counts 0..={})",
-                    table.name,
-                    Rwb::MAX_K
+                    c <= MAX_K,
+                    "{}: rule {rule} names a state outside the dense table (FirstWrite counts 0..={MAX_K})",
+                    table.name
                 );
             }
             for other_readable in [false, true] {
@@ -211,7 +208,7 @@ impl TableProtocol {
     /// # Panics
     ///
     /// Panics if a [`ProtocolKind::RwbThreshold`] value is outside
-    /// `1..=`[`Rwb::MAX_K`].
+    /// `1..=`[`MAX_K`].
     pub fn build(kind: ProtocolKind) -> Self {
         TableProtocol::new(super::kind_table(kind))
     }
@@ -423,7 +420,7 @@ mod tests {
             Some(LineState::Dirty),
             None,
         ];
-        states.extend((0..=Rwb::MAX_K + 1).map(|c| Some(LineState::FirstWrite(c))));
+        states.extend((0..=MAX_K + 1).map(|c| Some(LineState::FirstWrite(c))));
         let slots: Vec<usize> = states.into_iter().map(state_slot).collect();
         let expected: Vec<usize> = (0..STATES).filter(|&slot| slot != 3).collect();
         assert_eq!(slots, expected);
@@ -449,7 +446,7 @@ mod tests {
     fn first_write_counts_past_max_k_are_rejected() {
         let mut table = super::super::kind_table(ProtocolKind::Rwb);
         let mut rule = table.rules[0];
-        rule.from = Some(LineState::FirstWrite(Rwb::MAX_K + 1));
+        rule.from = Some(LineState::FirstWrite(MAX_K + 1));
         table.rules.push(rule);
         let _ = TableProtocol::new(table);
     }

@@ -5,12 +5,15 @@
 //! **guarded-action rules**: `(from_state, input) [guard] → effect`
 //! (after Meunier et al.'s guarded-action modelling of cache coherence).
 //! This module defines that table form ([`Rule`], [`RuleTable`]), the
-//! tables of every built-in protocol ([`hand_table`], [`mesi`]), and the
-//! executor ([`TableProtocol`]) that compiles any table to a dense
+//! tables of every built-in protocol ([`kind_table`]: [`hand_table`]
+//! for the paper's schemes, [`mesi`]), and the executor
+//! ([`TableProtocol`]) that compiles any table to a dense
 //! `(state, input, guard bit)` array and runs it through the ordinary
-//! [`Protocol`] trait. Every protocol the machine runs goes through that
-//! executor, so a protocol defined *purely as data* runs on the
-//! unmodified machine, verifier, and conformance oracle.
+//! [`Protocol`] trait. The tables are the only definition of each
+//! protocol: the machine, the product checker, the conformance oracle
+//! and the static analyzer all take the same table, so a protocol
+//! defined *purely as data* runs and is verified with no code of its
+//! own.
 //!
 //! Guards range over the **abstract configuration** of the other caches
 //! (never over PE identities, keeping every table PE-symmetric by
@@ -38,6 +41,12 @@ mod tables;
 
 pub use dense::{SnoopStep, TableProtocol};
 pub use tables::{hand_table, kind_table, mesi};
+
+/// The largest RWB locality threshold `k` (footnote 6) a table may use:
+/// [`crate::ProtocolKind::RwbThreshold`] takes `1..=MAX_K`, and the
+/// dense executor has a slot for every `FirstWrite(c)` with
+/// `c <= MAX_K`. The paper's own default is `k = 2`.
+pub const MAX_K: u8 = 8;
 
 use crate::introspect::{TableInput, TransitionKey};
 use crate::{BusIntent, LineState};
@@ -200,8 +209,8 @@ impl fmt::Display for Rule {
 /// Well-formedness (exactly one matching rule per `(state, input,
 /// configuration)`, invariant preservation, …) is *not* enforced here —
 /// that is the static analyzer's job in `decache-protocol-ir`; the
-/// executor panics informatively on lookup failure, mirroring how
-/// the hand-written protocols panic on states outside their vocabulary.
+/// executor panics informatively on lookup failure, e.g. for a state
+/// outside the table's vocabulary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuleTable {
     /// The protocol's display name.
@@ -326,9 +335,21 @@ mod tests {
         assert!(!p.writeback_on_evict(Reserved));
         // Read snoops demote to shared without capturing.
         let out = p.snoop(Reserved, SnoopEvent::Read(decache_mem::Word::ZERO));
-        assert_eq!(out, SnoopOutcome::to(Valid));
+        assert_eq!(
+            out,
+            SnoopOutcome {
+                next: Valid,
+                capture: false
+            }
+        );
         let out = p.snoop(Valid, SnoopEvent::Write(decache_mem::Word::ZERO));
-        assert_eq!(out, SnoopOutcome::to(Invalid));
+        assert_eq!(
+            out,
+            SnoopOutcome {
+                next: Invalid,
+                capture: false
+            }
+        );
     }
 
     #[test]

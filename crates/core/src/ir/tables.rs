@@ -1,17 +1,15 @@
 //! The declarative tables of every built-in protocol: the paper's seven
 //! schemes and MESI.
 //!
-//! The paper's schemes are transcribed independently from Figures 3-1
-//! and 5-1 (and the baselines' published descriptions), *not* from the
-//! hand-coded Rust state machines — the cross-check test
-//! `compile(kind) == hand_table(kind)` in `decache-protocol-ir` is only
-//! meaningful because the two sides were written separately. A
-//! transcription slip on either side fails that test with the offending
-//! rule named.
+//! The paper's schemes are transcribed from Figures 3-1 and 5-1 (and the
+//! baselines' published descriptions). These tables are each protocol's
+//! only definition; `crates/core/tests/golden/protocol_tables.txt` pins
+//! every rule, and the figure goldens, the product checker and the
+//! static analyzer check what they mean.
 
-use super::{Effect, Guard, Rule, RuleTable};
+use super::{Effect, Guard, Rule, RuleTable, MAX_K};
 use crate::introspect::{SnoopKind, TableInput};
-use crate::{BusIntent, LineState, ProtocolKind, Rwb};
+use crate::{BusIntent, LineState, ProtocolKind};
 use LineState::{Dirty, FirstWrite, Invalid, Local, Readable, Reserved, Valid};
 
 /// Accumulates rules; [`Builder::rule`] adds [`Guard::Always`] rules
@@ -97,20 +95,19 @@ const WRITES: [SnoopKind; 2] = [SnoopKind::Write, SnoopKind::UnlockWrite];
 /// # Panics
 ///
 /// Panics if a [`ProtocolKind::RwbThreshold`] value is outside
-/// `1..=`[`Rwb::MAX_K`].
+/// `1..=`[`MAX_K`].
 pub fn kind_table(kind: ProtocolKind) -> RuleTable {
     hand_table(kind).unwrap_or_else(mesi)
 }
 
-/// The hand-written table for a paper scheme; `None` for
-/// [`ProtocolKind::Mesi`], whose table is authored directly in
-/// [`mesi`] (there is no hand-coded state machine to cross-check it
-/// against).
+/// The table for a paper scheme; `None` for [`ProtocolKind::Mesi`],
+/// which is not one of the paper's schemes and whose table is authored
+/// in [`mesi`].
 ///
 /// # Panics
 ///
 /// Panics if a [`ProtocolKind::RwbThreshold`] value is outside
-/// `1..=`[`Rwb::MAX_K`].
+/// `1..=`[`MAX_K`].
 pub fn hand_table(kind: ProtocolKind) -> Option<RuleTable> {
     match kind {
         ProtocolKind::Rb => Some(rb(true)),
@@ -214,9 +211,8 @@ fn rb(read_broadcast: bool) -> RuleTable {
 /// broadcasting, and the bus invalidate.
 fn rwb(k: u8) -> RuleTable {
     assert!(
-        (1..=Rwb::MAX_K).contains(&k),
-        "threshold k = {k} out of range 1..={}",
-        Rwb::MAX_K
+        (1..=MAX_K).contains(&k),
+        "threshold k = {k} out of range 1..={MAX_K}"
     );
     let mut t = Builder::new();
     let states: Vec<LineState> = std::iter::once(Invalid)
@@ -587,7 +583,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hand_tables_exist_for_exactly_the_hand_coded_protocols() {
+    fn hand_tables_exist_for_exactly_the_paper_schemes() {
         assert!(hand_table(ProtocolKind::Rb).is_some());
         assert!(hand_table(ProtocolKind::RwbThreshold(5)).is_some());
         assert!(hand_table(ProtocolKind::Mesi).is_none());

@@ -1,7 +1,7 @@
 //! Value-level protocol selection for experiment sweeps.
 
-use crate::ir::{self, TableProtocol};
-use crate::{Protocol, Rb, Rwb, WriteOnce, WriteThrough};
+use crate::ir;
+use crate::AnyProtocol;
 use std::fmt;
 
 /// Names one of the built-in coherence protocols; used to configure
@@ -10,7 +10,7 @@ use std::fmt;
 /// # Examples
 ///
 /// ```
-/// use decache_core::ProtocolKind;
+/// use decache_core::{Protocol, ProtocolKind};
 ///
 /// let protocol = ProtocolKind::Rwb.build();
 /// assert_eq!(protocol.name(), "RWB");
@@ -48,26 +48,16 @@ impl ProtocolKind {
         ProtocolKind::WriteThrough,
     ];
 
-    /// Instantiates the protocol's hand-coded state machine (for MESI,
-    /// which has none, its table protocol). These are the independent
-    /// reference implementations the verifier and the equivalence tests
-    /// check the rule tables against; the machine runs the compiled
-    /// table, [`crate::AnyProtocol::build`].
+    /// Compiles the protocol's rule table ([`ir::kind_table`]) into the
+    /// dense executor the machine, the verifiers and the conformance
+    /// oracle all run ([`AnyProtocol::build`]).
     ///
     /// # Panics
     ///
-    /// Panics if a [`ProtocolKind::RwbThreshold`] value is out of range
-    /// (see [`Rwb::with_threshold`]).
-    pub fn build(self) -> Box<dyn Protocol> {
-        match self {
-            ProtocolKind::Rb => Box::new(Rb::new()),
-            ProtocolKind::RbNoBroadcast => Box::new(Rb::without_read_broadcast()),
-            ProtocolKind::Rwb => Box::new(Rwb::new()),
-            ProtocolKind::RwbThreshold(k) => Box::new(Rwb::with_threshold(k)),
-            ProtocolKind::WriteOnce => Box::new(WriteOnce::new()),
-            ProtocolKind::WriteThrough => Box::new(WriteThrough::new()),
-            ProtocolKind::Mesi => Box::new(TableProtocol::new(ir::mesi())),
-        }
+    /// Panics if a [`ProtocolKind::RwbThreshold`] value is outside
+    /// `1..=`[`ir::MAX_K`].
+    pub fn build(self) -> AnyProtocol {
+        AnyProtocol::build(self)
     }
 }
 
@@ -81,6 +71,7 @@ impl fmt::Display for ProtocolKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Protocol;
 
     #[test]
     fn build_produces_the_named_protocol() {

@@ -5,34 +5,41 @@
 //!
 //! Rudolph & Segall (1984) propose two snooping protocols:
 //!
-//! * **RB** ([`Rb`], Figure 3-1): three per-line states — `R`eadable,
+//! * **RB** (Figure 3-1): three per-line states — `R`eadable,
 //!   `I`nvalid, `L`ocal. Values fetched by any bus read are *broadcast*:
 //!   every cache holding the address captures the value and becomes
 //!   readable. Writes are write-through and invalidate other copies,
 //!   dynamically reclassifying the datum as local to the writer.
-//! * **RWB** ([`Rwb`], Figure 5-1): additionally snoops the *data* of bus
+//! * **RWB** (Figure 5-1): additionally snoops the *data* of bus
 //!   writes and adds a `F`irst-write state plus a **bus invalidate**
 //!   signal. A datum only reverts to the local configuration after `k`
 //!   uninterrupted writes by one processor (the paper uses `k = 2`).
 //!
-//! Two classic schemes are implemented as baselines: Goodman's
-//! *write-once* ([`WriteOnce`], the "event broadcasting" scheme the paper
-//! extends) and plain *write-through-invalidate* ([`WriteThrough`]).
+//! Two classic schemes are included as baselines: Goodman's
+//! *write-once* (the "event broadcasting" scheme the paper extends) and
+//! plain *write-through-invalidate*; MESI rides along as a table-only
+//! extension.
 //!
-//! All protocols implement the [`Protocol`] trait: a per-line finite state
+//! Every protocol is defined once, as a guarded-action rule table
+//! ([`ir::kind_table`]), and runs from that table compiled to a dense
+//! array ([`AnyProtocol`]). The machine executes it, the product
+//! checker and the conformance oracle in `decache-verify` replay it,
+//! and the static analyzer in `decache-protocol-ir` proves it. The
+//! compiled table implements the [`Protocol`] trait: a per-line state
 //! machine consulted by the cache controller on CPU references, on
 //! completion of its own bus transactions, and on snooped foreign
-//! transactions. The trait is deliberately *pure* (no `&mut self`, no side
-//! effects): protocols map observations to [`CpuOutcome`]/[`SnoopOutcome`]
-//! decisions, and the machine crate applies them. That purity is what
-//! makes the product-machine proof of `decache-verify` executable.
+//! transactions. The trait is deliberately *pure* (no `&mut self`, no
+//! side effects): protocols map observations to
+//! [`CpuOutcome`]/[`SnoopOutcome`] decisions, and the machine crate
+//! applies them. That purity is what makes the product-machine proof of
+//! `decache-verify` executable.
 //!
 //! # Examples
 //!
 //! ```
-//! use decache_core::{BusIntent, CpuOutcome, LineState, Protocol, Rb};
+//! use decache_core::{AnyProtocol, BusIntent, CpuOutcome, LineState, Protocol, ProtocolKind};
 //!
-//! let rb = Rb::new();
+//! let rb = AnyProtocol::build(ProtocolKind::Rb);
 //! // A CPU write to a readable (shared) line is a write-through:
 //! match rb.cpu_write(Some(LineState::Readable)) {
 //!     CpuOutcome::Miss { intent } => assert_eq!(intent, BusIntent::Write),
@@ -54,21 +61,13 @@ pub mod introspect;
 pub mod ir;
 mod kind;
 mod protocol;
-mod rb;
-mod rwb;
 mod state;
-mod write_once;
-mod write_through;
 
 pub use config::Configuration;
 pub use diagram::{to_dot, transition_table, Stimulus, TransitionRow};
 pub use kind::ProtocolKind;
 pub use protocol::{BusIntent, CpuOutcome, Protocol, SnoopEvent, SnoopOutcome};
-pub use rb::Rb;
-pub use rwb::Rwb;
 pub use state::LineState;
-pub use write_once::WriteOnce;
-pub use write_through::WriteThrough;
 
 /// The protocol type the machine runs: any [`ProtocolKind`] compiled to
 /// a dense transition table ([`AnyProtocol::build`]).

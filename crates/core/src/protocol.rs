@@ -47,13 +47,6 @@ pub enum CpuOutcome {
     },
 }
 
-impl CpuOutcome {
-    /// Convenience predicate: does this outcome complete without the bus?
-    pub fn is_hit(self) -> bool {
-        matches!(self, CpuOutcome::Hit { .. })
-    }
-}
-
 /// A foreign bus transaction as observed by a snooping cache, *including
 /// the data on the bus* (address and operation are implicit: snooping is
 /// per-line and the machine dispatches only to caches holding the line).
@@ -101,32 +94,6 @@ pub struct SnoopOutcome {
     pub capture: bool,
 }
 
-impl SnoopOutcome {
-    /// A state change without data capture.
-    pub const fn to(next: LineState) -> Self {
-        SnoopOutcome {
-            next,
-            capture: false,
-        }
-    }
-
-    /// A state change that also captures the bus data.
-    pub const fn capture(next: LineState) -> Self {
-        SnoopOutcome {
-            next,
-            capture: true,
-        }
-    }
-
-    /// No state change, no capture.
-    pub const fn unchanged(state: LineState) -> Self {
-        SnoopOutcome {
-            next: state,
-            capture: false,
-        }
-    }
-}
-
 /// A snooping cache coherence protocol: the per-line finite state machine
 /// of the paper's Figures 3-1 and 5-1 (and of the baselines).
 ///
@@ -145,7 +112,9 @@ impl SnoopOutcome {
 ///
 /// Methods may panic if handed a [`LineState`] outside
 /// [`Protocol::states`] — e.g. asking RB about `Dirty`. The machine only
-/// stores states produced by the same protocol, so this indicates a bug.
+/// stores states produced by the same protocol (a restored checkpoint
+/// is checked against [`Protocol::states`] first), so this indicates a
+/// bug.
 pub trait Protocol: fmt::Debug + Send + Sync {
     /// A short display name ("RB", "RWB(k=2)", "write-once", ...).
     fn name(&self) -> String;
@@ -203,32 +172,25 @@ pub trait Protocol: fmt::Debug + Send + Sync {
     /// (`BI`) — true for the RWB family, false for RB and the
     /// baselines. Drives the inclusion of `BI` edges in extracted state
     /// diagrams.
-    fn uses_bus_invalidate(&self) -> bool {
-        false
-    }
+    fn uses_bus_invalidate(&self) -> bool;
 
     /// Whether the read-miss fill state depends on the abstract
     /// configuration of the other caches (MESI's exclusive-vs-shared
     /// fill). False for every paper scheme, letting the machine skip
     /// the sharer sample on the hot path.
-    fn fill_depends_on_sharers(&self) -> bool {
-        false
-    }
+    fn fill_depends_on_sharers(&self) -> bool;
 
     /// [`Protocol::own_complete`] with the sampled "some other cache
     /// holds the line readable" bit, for protocols whose read-miss fill
     /// is guarded on it ([`Protocol::fill_depends_on_sharers`]). The
     /// bit is sampled after any interrupt-and-supply and before the
-    /// read broadcast. The default ignores it.
+    /// read broadcast.
     fn own_complete_shared(
         &self,
         state: Option<LineState>,
         intent: BusIntent,
         other_holders: bool,
-    ) -> LineState {
-        let _ = other_holders;
-        self.own_complete(state, intent)
-    }
+    ) -> LineState;
 }
 
 #[cfg(test)]
@@ -247,28 +209,5 @@ mod tests {
         assert_eq!(SnoopEvent::Read(Word::new(4)).word(), Some(Word::new(4)));
         assert_eq!(SnoopEvent::Invalidate.word(), None);
         assert_eq!(SnoopEvent::UnlockWrite(Word::ONE).word(), Some(Word::ONE));
-    }
-
-    #[test]
-    fn outcome_constructors() {
-        let o = SnoopOutcome::to(LineState::Invalid);
-        assert!(!o.capture);
-        let o = SnoopOutcome::capture(LineState::Readable);
-        assert!(o.capture);
-        let o = SnoopOutcome::unchanged(LineState::Local);
-        assert_eq!(o.next, LineState::Local);
-        assert!(!o.capture);
-    }
-
-    #[test]
-    fn hit_predicate() {
-        assert!(CpuOutcome::Hit {
-            next: LineState::Readable
-        }
-        .is_hit());
-        assert!(!CpuOutcome::Miss {
-            intent: BusIntent::Read
-        }
-        .is_hit());
     }
 }

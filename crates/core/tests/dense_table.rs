@@ -1,18 +1,14 @@
-//! Exhaustive equivalence of the three protocol executors:
-//!
-//! * the dense compiled table the machine runs ([`AnyProtocol`]);
-//! * the hand-coded state machine ([`ProtocolKind::build`]; for MESI,
-//!   which has none, the boxed table protocol);
-//! * a linear [`RuleTable::matching`] scan over the same rule table
-//!   ([`Linear`] below).
-//!
-//! Every protocol kind, every RWB threshold, every cell, both guard bits.
+//! Exhaustive equivalence of the dense compiled table the machine runs
+//! ([`AnyProtocol`]) with a linear [`RuleTable::matching`] scan over the
+//! same rule table ([`Linear`] below), the reference semantics of a
+//! table. Every protocol kind, every RWB threshold, every cell, both
+//! guard bits.
 
 use decache_core::introspect::{transition_domain, SnoopKind, TableInput, TransitionKey};
+use decache_core::ir::MAX_K;
 use decache_core::ir::{hand_table, mesi, Effect, Guard, Rule, RuleTable, TableProtocol};
 use decache_core::{
-    AnyProtocol, BusIntent, CpuOutcome, LineState, Protocol, ProtocolKind, Rwb, SnoopEvent,
-    SnoopOutcome,
+    AnyProtocol, BusIntent, CpuOutcome, LineState, Protocol, ProtocolKind, SnoopEvent, SnoopOutcome,
 };
 use decache_mem::Word;
 use LineState::{Dirty, FirstWrite, Invalid, Local, Readable, Reserved, Valid};
@@ -27,7 +23,7 @@ fn kinds() -> Vec<ProtocolKind> {
         ProtocolKind::WriteThrough,
         ProtocolKind::Mesi,
     ];
-    kinds.extend((1..=Rwb::MAX_K).map(ProtocolKind::RwbThreshold));
+    kinds.extend((1..=MAX_K).map(ProtocolKind::RwbThreshold));
     kinds
 }
 
@@ -47,7 +43,7 @@ fn every_state() -> Vec<Option<LineState>> {
         Some(Reserved),
         Some(Dirty),
     ];
-    states.extend((0..=Rwb::MAX_K + 1).map(|c| Some(FirstWrite(c))));
+    states.extend((0..=MAX_K + 1).map(|c| Some(FirstWrite(c))));
     states
 }
 
@@ -286,73 +282,61 @@ fn overlapping_rules_resolve_to_the_first_match() {
     );
 }
 
-/// The dense table, the hand-coded state machine and the linear scan
-/// agree on every [`Protocol`] method, over the state machine's whole
-/// transition domain and both guard bits, and on every flag.
+/// The dense table and the linear scan agree on every [`Protocol`]
+/// method, over the dense table's whole transition domain and both
+/// guard bits, and on every flag.
 #[test]
-fn three_executors_agree_on_every_protocol_method() {
+fn dense_and_linear_executors_agree_on_every_protocol_method() {
     for kind in kinds() {
-        let fsm = kind.build();
         let dense = AnyProtocol::build(kind);
         let linear = Linear(table(kind));
-        let others: [(&str, &dyn Protocol); 2] = [("dense", &dense), ("linear", &linear)];
-        for (label, p) in others {
-            assert_eq!(p.name(), fsm.name(), "{kind}: {label} name");
-            assert_eq!(p.states(), fsm.states(), "{kind}: {label} states");
-            assert_eq!(
-                p.uses_bus_invalidate(),
-                fsm.uses_bus_invalidate(),
-                "{kind}: {label} uses_bus_invalidate"
-            );
-            assert_eq!(
-                p.broadcasts_write_data(),
-                fsm.broadcasts_write_data(),
-                "{kind}: {label} broadcasts_write_data"
-            );
-            assert_eq!(
-                p.fill_depends_on_sharers(),
-                fsm.fill_depends_on_sharers(),
-                "{kind}: {label} fill_depends_on_sharers"
-            );
-        }
-        assert_eq!(kind.to_string(), fsm.name(), "{kind}: display name");
+        assert_eq!(linear.name(), dense.name(), "{kind}: name");
+        assert_eq!(kind.to_string(), dense.name(), "{kind}: display name");
+        assert_eq!(linear.states(), dense.states(), "{kind}: states");
+        assert_eq!(
+            linear.uses_bus_invalidate(),
+            dense.uses_bus_invalidate(),
+            "{kind}: uses_bus_invalidate"
+        );
+        assert_eq!(
+            linear.broadcasts_write_data(),
+            dense.broadcasts_write_data(),
+            "{kind}: broadcasts_write_data"
+        );
+        assert_eq!(
+            linear.fill_depends_on_sharers(),
+            dense.fill_depends_on_sharers(),
+            "{kind}: fill_depends_on_sharers"
+        );
 
-        let domain = transition_domain(fsm.as_ref());
+        let domain = transition_domain(&dense);
         assert!(domain.len() > 20, "{kind}: domain of {}", domain.len());
         for &key in &domain {
             for other_readable in [false, true] {
-                let want = decide(fsm.as_ref(), key, other_readable);
-                for (label, p) in others {
-                    assert_eq!(
-                        decide(p, key, other_readable),
-                        want,
-                        "{kind}: {label} decides {key} (other_readable={other_readable})"
-                    );
-                }
+                assert_eq!(
+                    decide(&dense, key, other_readable),
+                    decide(&linear, key, other_readable),
+                    "{kind}: {key} (other_readable={other_readable})"
+                );
             }
             if let TableInput::OwnComplete(intent) = key.input {
-                let want = fsm.own_complete(key.state, intent);
-                for (label, p) in others {
-                    assert_eq!(
-                        p.own_complete(key.state, intent),
-                        want,
-                        "{kind}: {label} own_complete {key}"
-                    );
-                }
+                assert_eq!(
+                    dense.own_complete(key.state, intent),
+                    linear.own_complete(key.state, intent),
+                    "{kind}: own_complete {key}"
+                );
             }
         }
 
         // Supplier status, and the snoop step's before/after supply bits
         // that drive the machine's owner index.
-        for state in fsm.states() {
-            let supplies = fsm.supplies_on_snoop_read(state);
-            for (label, p) in others {
-                assert_eq!(
-                    p.supplies_on_snoop_read(state),
-                    supplies,
-                    "{kind}: {label} supplies_on_snoop_read({state})"
-                );
-            }
+        for state in dense.states() {
+            let supplies = linear.supplies_on_snoop_read(state);
+            assert_eq!(
+                dense.supplies_on_snoop_read(state),
+                supplies,
+                "{kind}: supplies_on_snoop_read({state})"
+            );
             for snoop in SnoopKind::ALL {
                 let key = TransitionKey {
                     state: Some(state),
@@ -364,13 +348,13 @@ fn three_executors_agree_on_every_protocol_method() {
                 let step = dense.snoop_step(state, snoop);
                 assert_eq!(
                     step.outcome,
-                    fsm.snoop(state, snoop.event()),
+                    linear.snoop(state, snoop.event()),
                     "{kind}: {key}"
                 );
                 assert_eq!(step.supplied, supplies, "{kind}: {key} supplied");
                 assert_eq!(
                     step.supplies,
-                    fsm.supplies_on_snoop_read(step.outcome.next),
+                    linear.supplies_on_snoop_read(step.outcome.next),
                     "{kind}: {key} supplies"
                 );
             }

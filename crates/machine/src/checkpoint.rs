@@ -380,6 +380,14 @@ pub enum RestoreError {
         /// The machine's value.
         expected: u64,
     },
+    /// A cache line holds a state the machine's protocol does not
+    /// declare ([`Protocol::states`]), so its table has no rules for it.
+    UnknownState {
+        /// The PE whose cache holds the line.
+        pe: usize,
+        /// The undeclared state.
+        state: LineState,
+    },
     /// A component-level restore failed (tag store, queue, processor,
     /// histogram, ...). The machine's state is unspecified after this
     /// error; discard it.
@@ -408,6 +416,10 @@ impl fmt::Display for RestoreError {
                 found,
                 expected,
             } => write!(f, "checkpoint has {what} = {found}, machine has {expected}"),
+            RestoreError::UnknownState { pe, state } => write!(
+                f,
+                "P{pe} cache holds a line in state {state}, which the protocol does not declare"
+            ),
             RestoreError::Component { what, detail } => {
                 write!(f, "restoring {what}: {detail}")
             }
@@ -667,7 +679,8 @@ impl Machine {
     /// Validates that `ck` matches this machine's build-time shape
     /// without mutating anything: format version, protocol, geometry,
     /// PE/bus/memory dimensions, fault-plan and telemetry presence,
-    /// per-PE and per-bus vector lengths, and RNG-state sanity.
+    /// per-PE and per-bus vector lengths, RNG-state sanity, and that
+    /// every cache line's state is one the protocol declares.
     fn validate_checkpoint(&self, ck: &MachineCheckpoint) -> Result<(), RestoreError> {
         if ck.version != CHECKPOINT_VERSION {
             return Err(RestoreError::Version {
@@ -760,8 +773,13 @@ impl Machine {
             }
         }
 
+        let states = self.protocol.states();
         for (pe, cache) in ck.caches.iter().enumerate() {
             check_rng(&format!("P{pe} cache RNG"), cache.rng_state)?;
+            let mut held = cache.lines.iter().filter_map(|line| line.state);
+            if let Some(state) = held.find(|s| !states.contains(s)) {
+                return Err(RestoreError::UnknownState { pe, state });
+            }
         }
         for (bus, arb) in ck.arbiters.iter().enumerate() {
             if let ArbiterCheckpoint::Random { rng_state } = arb {

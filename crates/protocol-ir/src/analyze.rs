@@ -1031,12 +1031,12 @@ impl<'a> Explorer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table_for;
+    use decache_core::ir::kind_table;
     use decache_core::ProtocolKind;
 
     #[test]
     fn rb_is_proved_and_explores_a_small_space() {
-        let analysis = analyze(&table_for(ProtocolKind::Rb), false);
+        let analysis = analyze(&kind_table(ProtocolKind::Rb), false);
         assert!(
             analysis.proved(),
             "RB diagnostics: {:?}",
@@ -1066,7 +1066,7 @@ mod tests {
     fn rb_without_intermediate_class_rejects_rwb() {
         // RWB's F states classify as intermediate; under RB's stricter
         // shared-or-local lemma the analyzer must refute them.
-        let analysis = analyze(&table_for(ProtocolKind::Rwb), false);
+        let analysis = analyze(&kind_table(ProtocolKind::Rwb), false);
         assert!(!analysis.proved());
         assert!(analysis
             .diagnostics

@@ -6,7 +6,7 @@
 use decache_core::introspect::{SnoopKind, TableInput};
 use decache_core::ir::{Effect, Guard, Rule, RuleTable};
 use decache_core::{ir, LineState, ProtocolKind};
-use decache_protocol_ir::{analyze, table_for, CheckKind};
+use decache_protocol_ir::{analyze, CheckKind};
 
 fn rule_position(
     table: &RuleTable,
@@ -28,7 +28,7 @@ fn rule_position(
 /// preservation and name the bad rule in the fired-rule trail.
 #[test]
 fn a_missing_bus_invalidate_is_caught_by_name() {
-    let mut table = table_for(ProtocolKind::Rwb);
+    let mut table = ir::kind_table(ProtocolKind::Rwb);
     let position = rule_position(
         &table,
         Some(LineState::Readable),
@@ -64,7 +64,7 @@ fn a_missing_bus_invalidate_is_caught_by_name() {
 /// attributing it to the read rules that fired.
 #[test]
 fn a_dropped_supply_rule_is_caught_as_a_stale_serve() {
-    let mut table = table_for(ProtocolKind::Rb);
+    let mut table = ir::kind_table(ProtocolKind::Rb);
     let position = rule_position(
         &table,
         Some(LineState::Local),
@@ -130,7 +130,7 @@ fn a_half_covered_guard_pair_is_caught_by_name() {
 /// must flag determinism, again without exploring.
 #[test]
 fn a_duplicate_rule_is_caught_as_nondeterminism() {
-    let mut table = table_for(ProtocolKind::WriteThrough);
+    let mut table = ir::kind_table(ProtocolKind::WriteThrough);
     table.rules.push(Rule {
         from: Some(LineState::Valid),
         input: TableInput::CpuRead,
@@ -158,7 +158,7 @@ fn a_duplicate_rule_is_caught_as_nondeterminism() {
 /// sharers only on its own fill); the symmetry check must name it.
 #[test]
 fn a_guard_outside_the_fill_is_caught_as_asymmetric() {
-    let mut table = table_for(ProtocolKind::Rb);
+    let mut table = ir::kind_table(ProtocolKind::Rb);
     let position = rule_position(
         &table,
         Some(LineState::Readable),

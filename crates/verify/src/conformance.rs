@@ -5,8 +5,9 @@
 //! [`Observer`](decache_machine::Observer) stream and maintains a
 //! *shadow* per-address state vector — one `Option<LineState>` per PE,
 //! exactly the product checker's cells. Every observation is checked
-//! against what the pure [`Protocol`] tables allow from the shadow
-//! state, and the shadow is advanced by the same table entries. Any
+//! against what the protocol's compiled rule table — the same
+//! [`AnyProtocol`] the machine runs — allows from the shadow state, and
+//! the shadow is advanced by the same table entries. Any
 //! simulator step the model does not allow (a hit where the table says
 //! miss, a missing interrupt-and-supply, a wrong writeback decision, an
 //! illegal configuration after a completion) is recorded as a
@@ -34,7 +35,9 @@
 //! oracle.assert_clean();
 //! ```
 
-use decache_core::{Configuration, CpuOutcome, LineState, Protocol, ProtocolKind, SnoopEvent};
+use decache_core::{
+    AnyProtocol, Configuration, CpuOutcome, LineState, Protocol, ProtocolKind, SnoopEvent,
+};
 use decache_machine::{CpuDecision, Observation, Observer};
 use decache_mem::Word;
 use std::fmt;
@@ -62,7 +65,7 @@ impl fmt::Display for ConformanceError {
 /// The shared oracle state: the shadow cache model and the error log.
 #[derive(Debug)]
 struct Inner {
-    protocol: Box<dyn Protocol>,
+    protocol: AnyProtocol,
     allow_intermediate: bool,
     n: usize,
     /// Shadow line states per address: `lines[addr][pe]`, `None` = NP.
@@ -368,22 +371,14 @@ pub struct Refinement {
 impl Refinement {
     /// Creates an oracle for `n` PEs under `kind`'s protocol tables.
     pub fn new(kind: ProtocolKind, n: usize) -> Self {
-        let allow_intermediate = !matches!(kind, ProtocolKind::Rb | ProtocolKind::RbNoBroadcast);
-        Refinement {
-            inner: Arc::new(Mutex::new(Inner {
-                protocol: kind.build(),
-                allow_intermediate,
-                n,
-                lines: std::collections::HashMap::new(),
-                errors: Vec::new(),
-                steps: 0,
-            })),
-        }
+        let allow_intermediate = decache_protocol_ir::allow_intermediate(kind);
+        Self::from_table(kind.build(), allow_intermediate, n)
     }
 
-    /// Creates an oracle with an explicit (possibly mismatched) model —
-    /// for testing that the oracle itself has teeth.
-    pub fn from_protocol(protocol: Box<dyn Protocol>, allow_intermediate: bool, n: usize) -> Self {
+    /// Creates an oracle with an explicit (possibly mismatched) compiled
+    /// table as its model — for testing that the oracle itself has
+    /// teeth.
+    pub fn from_table(protocol: AnyProtocol, allow_intermediate: bool, n: usize) -> Self {
         Refinement {
             inner: Arc::new(Mutex::new(Inner {
                 protocol,
@@ -540,7 +535,7 @@ mod tests {
         // Attach a write-through shadow model to an RB machine: RB's
         // write-miss installs an owning copy and later *hits* locally,
         // which the write-through table (every write is a miss) rejects.
-        let oracle = Refinement::from_protocol(ProtocolKind::WriteThrough.build(), true, 2);
+        let oracle = Refinement::from_table(ProtocolKind::WriteThrough.build(), true, 2);
         let a = Addr::new(5);
         let mut machine = MachineBuilder::new(ProtocolKind::Rb)
             .processor(

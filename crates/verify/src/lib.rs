@@ -39,14 +39,18 @@
 //! * **Static analyzer gate** ([`static_check`]) — per-rule proofs of
 //!   totality, determinism, PE-symmetry, and invariant preservation
 //!   over **all** cache counts at once via
-//!   [`decache_protocol_ir`]'s counting abstraction, whose dead-rule
-//!   detection subsumes the dynamic lint; pinned by
-//!   `static_baseline.txt` and gated in CI by the `protocol_lint`
-//!   binary.
+//!   [`decache_protocol_ir`]'s counting abstraction; its dead rules are
+//!   a subset of the dynamic lint's (not the converse, so both run),
+//!   pinned by `static_baseline.txt` and gated in CI by the
+//!   `protocol_lint` binary.
 //! * **Live conformance oracle** ([`Refinement`]) — subscribes to a
 //!   running [`decache_machine::Machine`]'s observation stream and
-//!   replays every simulator step against the pure protocol tables,
+//!   replays every simulator step against the protocol's rule table,
 //!   flagging any step the product model does not allow.
+//!
+//! All of them take the protocol from the same place the machine does:
+//! the kind's rule table compiled to [`decache_core::AnyProtocol`]
+//! (or, for mutation tests, an edited copy of it).
 //!
 //! Together these give the repository's strongest guarantee: the
 //! protocol *specifications* are consistent (product machine), and the

@@ -15,10 +15,11 @@
 //! a protocol change that makes a previously-live row dead (or adds new
 //! dead rows) changes reachable behaviour. The expected dead set is
 //! pinned by the **static** analyzer baseline in `static_baseline.txt`
-//! (see [`crate::static_check`]), whose abstraction-based dead-rule
-//! detection provably subsumes this coverage lint at every `n`; the
-//! per-`n` report here remains for exploration diagnostics and the
-//! subsumption test itself.
+//! (see [`crate::static_check`]). The inclusion runs one way only:
+//! every statically dead rule is dead here at every `n`, but a row dead
+//! at a fixed `n` may still fire abstractly. So the analyzer does not
+//! imply this lint's fixed-`n` totality and unreachable-state findings,
+//! and the `protocol_check` gate still runs it over every table.
 
 use decache_core::introspect::{probe_outcome, transition_domain, TableInput, TransitionKey};
 use decache_core::{introspect::SnoopKind, LineState, Protocol};

@@ -4,7 +4,8 @@ use crate::lint::{self, Coverage, LintReport};
 use crate::witness::{Invariant, Step, Witness, WitnessEvent};
 use decache_core::introspect::{SnoopKind, TableInput};
 use decache_core::{
-    BusIntent, Configuration, CpuOutcome, LineState, Protocol, ProtocolKind, SnoopEvent,
+    AnyProtocol, BusIntent, Configuration, CpuOutcome, LineState, Protocol, ProtocolKind,
+    SnoopEvent,
 };
 use decache_mem::Word;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -134,7 +135,7 @@ impl ProductReport {
 /// ```
 #[derive(Debug)]
 pub struct ProductChecker {
-    protocol: Box<dyn Protocol>,
+    protocol: AnyProtocol,
     /// Whether the intermediate configuration is legal (RWB-family and
     /// write-once/write-through) or only shared/local (RB).
     allow_intermediate: bool,
@@ -238,19 +239,19 @@ impl ProductChecker {
     ///
     /// Panics if `n` is zero.
     pub fn new(kind: ProtocolKind, n: usize) -> Self {
-        let allow_intermediate = !matches!(kind, ProtocolKind::Rb | ProtocolKind::RbNoBroadcast);
-        Self::from_protocol(kind.build(), allow_intermediate, n)
+        let allow_intermediate = decache_protocol_ir::allow_intermediate(kind);
+        Self::from_table(kind.build(), allow_intermediate, n)
     }
 
-    /// Creates a checker for an arbitrary [`Protocol`] implementation —
-    /// including deliberately broken ones, for mutation-testing the
-    /// checker itself. `allow_intermediate` selects the legality rule
-    /// (false = RB's shared/local only).
+    /// Creates a checker for any compiled rule table — including
+    /// deliberately broken ones, for mutation-testing the checker
+    /// itself. `allow_intermediate` selects the legality rule (false =
+    /// RB's shared/local only).
     ///
     /// # Panics
     ///
     /// Panics if `n` is zero.
-    pub fn from_protocol(protocol: Box<dyn Protocol>, allow_intermediate: bool, n: usize) -> Self {
+    pub fn from_table(protocol: AnyProtocol, allow_intermediate: bool, n: usize) -> Self {
         assert!(n > 0, "the product machine needs at least one cache");
         ProductChecker {
             protocol,
@@ -685,7 +686,7 @@ impl ProductChecker {
     /// `without_test_and_set` do not surface disabled families as dead.
     pub fn lint(&self, report: &ProductReport) -> LintReport {
         lint::build_report(
-            self.protocol.as_ref(),
+            &self.protocol,
             &report.coverage,
             self.n,
             self.evictions,
@@ -745,8 +746,8 @@ mod tests {
 
     #[test]
     fn mesi_table_protocol_lemma_and_theorem_hold() {
-        // MESI exists only as IR data; the generic interpreter must
-        // satisfy the same lemma/theorem as the hand-coded protocols.
+        // MESI exists only as IR data, outside the paper; its table must
+        // satisfy the same lemma/theorem as the paper's.
         for n in 1..=4 {
             let report = ProductChecker::new(ProtocolKind::Mesi, n).explore();
             assert!(report.holds(), "n={n}: {:?}", report.violations);

@@ -9,11 +9,12 @@
 //! counting-abstraction small-model argument (see
 //! [`decache_protocol_ir::analyze`]).
 //!
-//! The analyzer's dead-rule detection subsumes the old dynamic
-//! coverage lint: because the abstraction over-approximates
-//! reachability at every `n`, a statically dead rule is dead in every
-//! explored product machine (the `static_dead_rules_subsume_…` test
-//! pins that inclusion). The committed per-protocol dead set lives in
+//! Because the abstraction over-approximates reachability at every
+//! `n`, a statically dead rule is dead in every explored product
+//! machine (the `static_dead_rules_subsume_…` test pins that
+//! inclusion). The converse does not hold, so the product checker's
+//! fixed-`n` lint ([`crate::lint`]) is not implied and keeps its own
+//! gate. The committed per-protocol dead set lives in
 //! `static_baseline.txt`; the `protocol_lint` binary fails CI on any
 //! deviation.
 

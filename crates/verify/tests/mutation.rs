@@ -3,90 +3,116 @@
 //! everything proves nothing; these tests show each invariant has teeth
 //! — and that every catch comes with a reconstructed shortest witness
 //! trace naming the violated invariant.
+//!
+//! Each mutant is the paper's rule table with one decision edited, run
+//! through the same compiled executor as the healthy protocol.
 
-use decache_core::{BusIntent, CpuOutcome, LineState, Protocol, Rb, Rwb, SnoopEvent, SnoopOutcome};
+use decache_core::introspect::{SnoopKind, TableInput};
+use decache_core::ir::{hand_table, Effect, RuleTable};
+use decache_core::{AnyProtocol, LineState, Protocol, ProtocolKind, SnoopEvent, SnoopOutcome};
 use decache_verify::{Invariant, ProductChecker, ProductReport};
 use LineState::{FirstWrite, Local, Readable};
 
-/// Wraps a healthy protocol and overrides selected behaviours through
-/// optional function pointers — one injected bug per mutant. Everything
-/// not overridden forwards to the base, so each mutant differs from
-/// health in exactly one decision.
-#[derive(Debug)]
-struct Mutant<P: Protocol> {
-    base: P,
-    name: &'static str,
-    cpu_write: Option<fn(&P, Option<LineState>) -> CpuOutcome>,
-    snoop: Option<fn(&P, LineState, SnoopEvent) -> SnoopOutcome>,
-    supplies: Option<fn(&P, LineState) -> bool>,
-    writeback: Option<fn(&P, LineState) -> bool>,
-}
+const READS: [TableInput; 2] = [
+    TableInput::Snoop(SnoopKind::Read),
+    TableInput::Snoop(SnoopKind::LockedRead),
+];
+const WRITE: [TableInput; 1] = [TableInput::Snoop(SnoopKind::Write)];
+const UNLOCK: [TableInput; 1] = [TableInput::Snoop(SnoopKind::UnlockWrite)];
 
-impl<P: Protocol> Mutant<P> {
-    fn of(base: P, name: &'static str) -> Self {
-        Mutant {
-            base,
-            name,
-            cpu_write: None,
-            snoop: None,
-            supplies: None,
-            writeback: None,
-        }
+fn unchanged(state: LineState) -> Effect {
+    Effect::Next {
+        next: state,
+        capture: false,
     }
 }
 
-impl<P: Protocol> Protocol for Mutant<P> {
-    fn name(&self) -> String {
-        self.name.to_owned()
-    }
-    fn states(&self) -> Vec<LineState> {
-        self.base.states()
-    }
-    fn cpu_read(&self, s: Option<LineState>) -> CpuOutcome {
-        self.base.cpu_read(s)
-    }
-    fn cpu_write(&self, s: Option<LineState>) -> CpuOutcome {
-        match self.cpu_write {
-            Some(f) => f(&self.base, s),
-            None => self.base.cpu_write(s),
-        }
-    }
-    fn own_complete(&self, s: Option<LineState>, i: BusIntent) -> LineState {
-        self.base.own_complete(s, i)
-    }
-    fn own_locked_read_complete(&self, s: Option<LineState>) -> LineState {
-        self.base.own_locked_read_complete(s)
-    }
-    fn own_unlock_write_complete(&self, s: Option<LineState>) -> LineState {
-        self.base.own_unlock_write_complete(s)
-    }
-    fn snoop(&self, state: LineState, event: SnoopEvent) -> SnoopOutcome {
-        match self.snoop {
-            Some(f) => f(&self.base, state, event),
-            None => self.base.snoop(state, event),
-        }
-    }
-    fn supplies_on_snoop_read(&self, s: LineState) -> bool {
-        match self.supplies {
-            Some(f) => f(&self.base, s),
-            None => self.base.supplies_on_snoop_read(s),
-        }
-    }
-    fn after_supply(&self, s: LineState) -> LineState {
-        self.base.after_supply(s)
-    }
-    fn writeback_on_evict(&self, s: LineState) -> bool {
-        match self.writeback {
-            Some(f) => f(&self.base, s),
-            None => self.base.writeback_on_evict(s),
-        }
-    }
-    fn broadcasts_write_data(&self) -> bool {
-        self.base.broadcasts_write_data()
-    }
-    fn uses_bus_invalidate(&self) -> bool {
-        self.base.uses_bus_invalidate()
-    }
+/// The nine mutants, each the paper's RB or RWB table (by name prefix)
+/// with one decision broken; the tests below say what each bug is and
+/// how the checker catches it. A row rewrites the effect of one state
+/// on each listed input, and the two `-supply` mutants also delete
+/// `L`'s supply rule. Every edit must hit a rule and change it, so a
+/// mutant cannot silently equal health.
+fn mutants() -> Vec<(ProtocolKind, RuleTable)> {
+    let drop = Effect::Evict { writeback: false };
+    let claim = Effect::Hit { next: Local };
+    let own = Effect::Next {
+        next: Local,
+        capture: true,
+    };
+    let edits: [(&str, LineState, &[TableInput], Effect); 9] = [
+        (
+            "RB-broken-no-invalidate",
+            Readable,
+            &WRITE,
+            unchanged(Readable),
+        ),
+        ("RB-broken-no-writeback", Local, &[TableInput::Evict], drop),
+        ("RB-broken-no-supply", Local, &READS, unchanged(Local)),
+        ("RB-broken-double-owner", Local, &WRITE, unchanged(Local)),
+        (
+            "RWB-broken-skip-bi",
+            FirstWrite(1),
+            &[TableInput::CpuWrite],
+            claim,
+        ),
+        ("RB-broken-snoop-read-local", Readable, &READS, own),
+        (
+            "RWB-broken-no-capture",
+            Readable,
+            &WRITE,
+            unchanged(Readable),
+        ),
+        (
+            "RB-broken-stale-unlock",
+            Readable,
+            &UNLOCK,
+            unchanged(Readable),
+        ),
+        // L's snoop arm already folds a bypassed supply to a captured R.
+        ("RB-broken-ghost-supply", Local, &[], own),
+    ];
+    edits
+        .into_iter()
+        .map(|(name, from, inputs, effect)| {
+            let kind = if name.starts_with("RWB") {
+                ProtocolKind::Rwb
+            } else {
+                ProtocolKind::Rb
+            };
+            let mut table = hand_table(kind).expect("a paper scheme");
+            table.name = name.to_owned();
+            for &input in inputs {
+                let rule = table
+                    .rules
+                    .iter_mut()
+                    .find(|r| r.from == Some(from) && r.input == input)
+                    .unwrap_or_else(|| panic!("{name}: no rule for {from} --{input}"));
+                assert_ne!(rule.effect, effect, "{name}: {rule} already");
+                rule.effect = effect;
+            }
+            if name.ends_with("-supply") {
+                let before = table.rules.len();
+                table
+                    .rules
+                    .retain(|r| !(r.from == Some(Local) && r.input == TableInput::Supply));
+                assert_eq!(table.rules.len() + 1, before, "{name}: no supply rule");
+            }
+            (kind, table)
+        })
+        .collect()
+}
+
+fn mutant(name: &str) -> RuleTable {
+    mutants()
+        .into_iter()
+        .map(|(_, table)| table)
+        .find(|table| table.name == name)
+        .unwrap_or_else(|| panic!("no mutant {name}"))
+}
+
+fn explore(table: RuleTable, allow_intermediate: bool, n: usize) -> ProductReport {
+    ProductChecker::from_table(AnyProtocol::new(table), allow_intermediate, n).explore()
 }
 
 /// Asserts a mutant is caught *and* produces a well-formed witness: a
@@ -122,7 +148,7 @@ fn assert_caught(report: &ProductReport, invariant: Invariant) -> usize {
 
 #[test]
 fn healthy_rb_passes() {
-    let report = ProductChecker::from_protocol(Box::new(Rb::new()), false, 3).explore();
+    let report = explore(hand_table(ProtocolKind::Rb).unwrap(), false, 3);
     assert!(report.holds(), "{:?}", report.violations);
     assert!(report.witness.is_none());
 }
@@ -131,15 +157,7 @@ fn healthy_rb_passes() {
 fn missing_invalidate_is_caught() {
     // THE BUG: a readable holder ignores foreign writes, keeping a stale
     // copy readable.
-    let mut m = Mutant::of(Rb::new(), "RB-broken-no-invalidate");
-    m.snoop = Some(|base, state, event| {
-        if state == Readable && matches!(event, SnoopEvent::Write(_)) {
-            SnoopOutcome::unchanged(Readable)
-        } else {
-            base.snoop(state, event)
-        }
-    });
-    let report = ProductChecker::from_protocol(Box::new(m), false, 3).explore();
+    let report = explore(mutant("RB-broken-no-invalidate"), false, 3);
     assert!(
         report.violations.iter().any(|v| v.contains("stale")),
         "violations: {:?}",
@@ -154,9 +172,7 @@ fn missing_invalidate_is_caught() {
 fn missing_writeback_is_caught() {
     // THE BUG: Local lines are dropped without flushing, losing the
     // latest value.
-    let mut m = Mutant::of(Rb::new(), "RB-broken-no-writeback");
-    m.writeback = Some(|_base, _state| false);
-    let report = ProductChecker::from_protocol(Box::new(m), false, 2).explore();
+    let report = explore(mutant("RB-broken-no-writeback"), false, 2);
     assert!(
         report.violations.iter().any(|v| v.contains("stale memory")),
         "violations: {:?}",
@@ -168,18 +184,8 @@ fn missing_writeback_is_caught() {
 #[test]
 fn missing_supply_is_caught() {
     // THE BUG: the owner never interrupts foreign reads, so they are
-    // served from stale memory.
-    let mut m = Mutant::of(Rb::new(), "RB-broken-no-supply");
-    m.supplies = Some(|_base, _state| false);
-    m.snoop = Some(|base, state, event| {
-        if state == Local && matches!(event, SnoopEvent::Read(_) | SnoopEvent::LockedRead(_)) {
-            // Pretend memory served the read; keep the Local copy.
-            SnoopOutcome::unchanged(Local)
-        } else {
-            base.snoop(state, event)
-        }
-    });
-    let report = ProductChecker::from_protocol(Box::new(m), false, 2).explore();
+    // served from stale memory; it keeps L as if memory had served them.
+    let report = explore(mutant("RB-broken-no-supply"), false, 2);
     // The owner keeps L while the reader installs R — the configuration
     // breaks one event before the stale memory would be served.
     assert_caught(&report, Invariant::IllegalConfiguration);
@@ -189,15 +195,7 @@ fn missing_supply_is_caught() {
 fn double_owner_is_caught_as_illegal_configuration() {
     // THE BUG: a Local holder survives a foreign write as Local,
     // creating two owners (violating the lemma's configuration claim).
-    let mut m = Mutant::of(Rb::new(), "RB-broken-double-owner");
-    m.snoop = Some(|base, state, event| {
-        if state == Local && matches!(event, SnoopEvent::Write(_)) {
-            SnoopOutcome::unchanged(Local)
-        } else {
-            base.snoop(state, event)
-        }
-    });
-    let report = ProductChecker::from_protocol(Box::new(m), false, 2).explore();
+    let report = explore(mutant("RB-broken-double-owner"), false, 2);
     assert!(
         report
             .violations
@@ -210,7 +208,7 @@ fn double_owner_is_caught_as_illegal_configuration() {
 }
 
 // ----------------------------------------------------------------------
-// New mutants: RWB-family bugs and witness-depth checks.
+// RWB-family bugs and witness-depth checks.
 // ----------------------------------------------------------------------
 
 #[test]
@@ -218,15 +216,7 @@ fn rwb_skipping_the_bus_invalidate_is_caught() {
     // THE BUG: the threshold write that should broadcast BI instead
     // completes silently in the cache — other caches keep readable
     // copies while the writer privately owns the line.
-    let mut m = Mutant::of(Rwb::new(), "RWB-broken-skip-bi");
-    m.cpu_write = Some(|base, state| {
-        if matches!(state, Some(FirstWrite(_))) {
-            CpuOutcome::Hit { next: Local }
-        } else {
-            base.cpu_write(state)
-        }
-    });
-    let report = ProductChecker::from_protocol(Box::new(m), true, 3).explore();
+    let report = explore(mutant("RWB-broken-skip-bi"), true, 3);
     let depth = assert_caught(&report, Invariant::IllegalConfiguration);
     // Shortest trace: P_a write (F1), P_b read (R), P_a write (silent L).
     assert_eq!(depth, 3, "witness:\n{}", report.witness.as_ref().unwrap());
@@ -236,15 +226,7 @@ fn rwb_skipping_the_bus_invalidate_is_caught() {
 fn rb_installing_local_on_snooped_read_is_caught() {
     // THE BUG: a readable holder "upgrades" to Local when it snoops a
     // foreign read broadcast — a reader manufactures ownership.
-    let mut m = Mutant::of(Rb::new(), "RB-broken-snoop-read-local");
-    m.snoop = Some(|base, state, event| {
-        if state == Readable && matches!(event, SnoopEvent::Read(_) | SnoopEvent::LockedRead(_)) {
-            SnoopOutcome::capture(Local)
-        } else {
-            base.snoop(state, event)
-        }
-    });
-    let report = ProductChecker::from_protocol(Box::new(m), false, 2).explore();
+    let report = explore(mutant("RB-broken-snoop-read-local"), false, 2);
     let depth = assert_caught(&report, Invariant::IllegalConfiguration);
     // Shortest trace: P_a read (R), P_b read (R + bogus L).
     assert_eq!(depth, 2, "witness:\n{}", report.witness.as_ref().unwrap());
@@ -256,15 +238,7 @@ fn rwb_dropping_the_write_broadcast_capture_is_caught() {
     // capture the broadcast data, keeping a stale copy readable — the
     // defining RWB behaviour ("the caches also note the data part of
     // the bus writes", Section 5), silently disabled.
-    let mut m = Mutant::of(Rwb::new(), "RWB-broken-no-capture");
-    m.snoop = Some(|base, state, event| {
-        if state == Readable && matches!(event, SnoopEvent::Write(_)) {
-            SnoopOutcome::unchanged(Readable)
-        } else {
-            base.snoop(state, event)
-        }
-    });
-    let report = ProductChecker::from_protocol(Box::new(m), true, 2).explore();
+    let report = explore(mutant("RWB-broken-no-capture"), true, 2);
     let depth = assert_caught(&report, Invariant::StaleReadableCopy);
     // Shortest trace: P_a read (R), P_b write (BW leaves the stale R).
     assert_eq!(depth, 2, "witness:\n{}", report.witness.as_ref().unwrap());
@@ -275,15 +249,7 @@ fn rb_ignoring_the_unlock_write_is_caught() {
     // THE BUG: readable holders treat a foreign unlocking write (a
     // successful Test-and-Set's second half) as harmless, surviving the
     // transition to the local configuration.
-    let mut m = Mutant::of(Rb::new(), "RB-broken-stale-unlock");
-    m.snoop = Some(|base, state, event| {
-        if state == Readable && matches!(event, SnoopEvent::UnlockWrite(_)) {
-            SnoopOutcome::unchanged(Readable)
-        } else {
-            base.snoop(state, event)
-        }
-    });
-    let report = ProductChecker::from_protocol(Box::new(m), false, 2).explore();
+    let report = explore(mutant("RB-broken-stale-unlock"), false, 2);
     let depth = assert_caught(&report, Invariant::IllegalConfiguration);
     assert!(
         depth <= 3,
@@ -297,16 +263,7 @@ fn rb_faking_the_supply_refresh_is_caught_serving_stale_memory() {
     // THE BUG: the owner stops interrupting foreign reads but demotes
     // itself as if the broadcast had refreshed everyone — so the read
     // is served from memory that was never made current.
-    let mut m = Mutant::of(Rb::new(), "RB-broken-ghost-supply");
-    m.supplies = Some(|_base, _state| false);
-    m.snoop = Some(|base, state, event| {
-        if state == Local && matches!(event, SnoopEvent::Read(_) | SnoopEvent::LockedRead(_)) {
-            SnoopOutcome::capture(Readable)
-        } else {
-            base.snoop(state, event)
-        }
-    });
-    let report = ProductChecker::from_protocol(Box::new(m), false, 2).explore();
+    let report = explore(mutant("RB-broken-ghost-supply"), false, 2);
     let depth = assert_caught(&report, Invariant::StaleMemoryServed);
     // Shortest trace: P_a write (L, memory current), P_a write again
     // (silent hit, memory now stale), P_b read served from memory.
@@ -315,23 +272,34 @@ fn rb_faking_the_supply_refresh_is_caught_serving_stale_memory() {
 
 #[test]
 fn mutants_actually_differ_from_healthy() {
-    let healthy = Rb::new();
+    let mutants = mutants();
+    assert_eq!(mutants.len(), 9);
+    for (kind, mutant) in mutants {
+        let healthy = hand_table(kind).expect("a paper scheme");
+        assert_ne!(mutant.name, healthy.name, "a mutant carries its own name");
+        assert_eq!(mutant.states, healthy.states, "{}", mutant.name);
+        assert_ne!(mutant.rules, healthy.rules, "{} equals health", mutant.name);
+    }
+
+    let healthy = AnyProtocol::build(ProtocolKind::Rb);
+    let no_invalidate = AnyProtocol::new(mutant("RB-broken-no-invalidate"));
     let e = SnoopEvent::Write(decache_mem::Word::ONE);
-    let mut no_invalidate = Mutant::of(Rb::new(), "RB-broken-no-invalidate");
-    no_invalidate.snoop = Some(|base, state, event| {
-        if state == Readable && matches!(event, SnoopEvent::Write(_)) {
-            SnoopOutcome::unchanged(Readable)
-        } else {
-            base.snoop(state, event)
+    assert_eq!(
+        no_invalidate.snoop(Readable, e),
+        SnoopOutcome {
+            next: Readable,
+            capture: false
         }
-    });
+    );
     assert_ne!(healthy.snoop(Readable, e), no_invalidate.snoop(Readable, e));
-    // Un-overridden behaviour forwards to the base unchanged.
+    // Unedited rules keep the healthy behaviour.
     assert_eq!(healthy.snoop(Local, e), no_invalidate.snoop(Local, e));
     assert!(no_invalidate.supplies_on_snoop_read(Local));
     assert!(no_invalidate.writeback_on_evict(Local));
     assert!(!no_invalidate.uses_bus_invalidate());
-    let rwb_mutant = Mutant::of(Rwb::new(), "RWB-identity");
+    let ghost = AnyProtocol::new(mutant("RB-broken-ghost-supply"));
+    assert!(!ghost.supplies_on_snoop_read(Local));
+    let rwb_mutant = AnyProtocol::new(mutant("RWB-broken-no-capture"));
     assert!(rwb_mutant.uses_bus_invalidate());
     assert!(rwb_mutant.broadcasts_write_data());
 }

@@ -8,7 +8,7 @@
 //!             [--pes N] [--buses B] [--ops N] [--cache-lines N]
 //! ```
 
-use decache::core::{ProtocolKind, Rwb};
+use decache::core::{ir::MAX_K, ProtocolKind};
 use decache::machine::MachineBuilder;
 use decache::mem::{Addr, AddrRange};
 use decache::sync::{BarrierWorker, LockWorker, Primitive};
@@ -59,10 +59,9 @@ fn parse_protocol(raw: &str) -> Result<ProtocolKind, String> {
                 let k: u8 = k
                     .parse()
                     .map_err(|_| format!("bad rwb threshold: {other}"))?;
-                if !(1..=Rwb::MAX_K).contains(&k) {
+                if !(1..=MAX_K).contains(&k) {
                     return Err(format!(
-                        "rwb threshold out of range: {other} (k must be 1..={})",
-                        Rwb::MAX_K
+                        "rwb threshold out of range: {other} (k must be 1..={MAX_K})"
                     ));
                 }
                 Ok(ProtocolKind::RwbThreshold(k))

@@ -19,7 +19,7 @@
 
 use decache::bus::ServiceDiscipline;
 use decache::cache::{AccessKind, RefClass};
-use decache::core::ProtocolKind;
+use decache::core::{LineState, ProtocolKind};
 use decache::machine::{
     CheckpointError, FaultPlan, Machine, MachineBuilder, MachineCheckpoint, OpResult, Poll,
     RestoreError, Script, CHECKPOINT_VERSION,
@@ -536,6 +536,41 @@ fn restore_validates_version_protocol_and_shape() {
         ),
         "got {err:?}"
     );
+
+    // A line state outside the protocol's vocabulary is rejected before
+    // anything is restored: RB has no V, D or F states, and RWB (k = 2)
+    // declares no first-write count but 1.
+    let rwb_ck = {
+        let mut machine = golden_machine(ProtocolKind::Rwb);
+        for _ in 0..GOLDEN_CYCLES {
+            machine.step();
+        }
+        machine.checkpoint().expect("capture")
+    };
+    for (kind, ck, state) in [
+        (ProtocolKind::Rb, &ck, LineState::Valid),
+        (ProtocolKind::Rb, &ck, LineState::Dirty),
+        (ProtocolKind::Rb, &ck, LineState::FirstWrite(9)),
+        (ProtocolKind::Rb, &ck, LineState::FirstWrite(200)),
+        (ProtocolKind::Rwb, &rwb_ck, LineState::FirstWrite(2)),
+    ] {
+        let mut foreign = ck.clone();
+        let line = foreign.caches[1]
+            .lines
+            .iter_mut()
+            .find(|line| line.state.is_some())
+            .expect("the golden machine holds lines");
+        line.state = Some(state);
+        let err = golden_machine(kind)
+            .restore(&foreign)
+            .expect_err("an undeclared line state must be rejected");
+        assert_eq!(err, RestoreError::UnknownState { pe: 1, state }, "{kind}");
+        assert!(
+            err.to_string()
+                .contains(&format!("P1 cache holds a line in state {state}")),
+            "Display should name the PE and the state: {err}"
+        );
+    }
 }
 
 /// A closure processor cannot export its state; [`Machine::checkpoint`]

@@ -70,8 +70,8 @@ F(1)  R(1)  R(1)  1     Others try to get S
 
 #[test]
 fn figure_3_1_transition_table_golden() {
-    use decache::core::{transition_table, Rb};
-    let rows: Vec<String> = transition_table(&Rb::new())
+    use decache::core::{transition_table, AnyProtocol};
+    let rows: Vec<String> = transition_table(&AnyProtocol::build(ProtocolKind::Rb))
         .iter()
         .map(std::string::ToString::to_string)
         .collect();
@@ -94,8 +94,8 @@ fn figure_3_1_transition_table_golden() {
 
 #[test]
 fn figure_5_1_transition_table_golden() {
-    use decache::core::{transition_table, Rwb};
-    let rows: Vec<String> = transition_table(&Rwb::new())
+    use decache::core::{transition_table, AnyProtocol};
+    let rows: Vec<String> = transition_table(&AnyProtocol::build(ProtocolKind::Rwb))
         .iter()
         .map(std::string::ToString::to_string)
         .collect();
