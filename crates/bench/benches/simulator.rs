@@ -1,8 +1,8 @@
 //! Timing harness: machine simulation throughput per protocol on the
 //! mixed workload (the engine behind experiments E13, E9, E10), protocol
 //! decisions through the dense table, deferred versus per-sharer
-//! broadcast application, machine set-up at 1024 PEs, and the JSON codec
-//! on a 1024-PE checkpoint.
+//! broadcast application on one bus and on sixteen, machine set-up at
+//! 1024 PEs, and the JSON codec on a 1024-PE checkpoint.
 
 use decache_bench::time_case;
 use decache_core::{AnyProtocol, LineState, Protocol, ProtocolKind, SnoopEvent};
@@ -13,7 +13,9 @@ use decache_telemetry::{checkpoint_from_json, checkpoint_to_json, Json};
 use decache_workloads::{MixConfig, MixWorkload};
 use std::hint::black_box;
 
-fn build_machine(kind: ProtocolKind, pes: usize, ops: u64) -> Machine {
+/// The mixed workload on `pes` PEs with 256-line caches, on one bus
+/// unless the caller adds more.
+fn mix_builder(kind: ProtocolKind, pes: usize, ops: u64) -> MachineBuilder {
     let shared = AddrRange::with_len(Addr::new(0), 64);
     let config = MixConfig {
         ops_per_pe: ops,
@@ -22,13 +24,18 @@ fn build_machine(kind: ProtocolKind, pes: usize, ops: u64) -> Machine {
     // Memory must cover every PE's private region (the regions start
     // above the shared block; see MixWorkload::new).
     let memory_words = (1u64 << 14).max((1088 + pes as u64 * 256).next_power_of_two());
-    MachineBuilder::new(kind)
+    let mut builder = MachineBuilder::new(kind);
+    builder
         .memory_words(memory_words)
         .cache_lines(256)
         .processors(pes, |pe| {
             Box::new(MixWorkload::new(config, shared, pe as u64))
-        })
-        .build()
+        });
+    builder
+}
+
+fn build_machine(kind: ProtocolKind, pes: usize, ops: u64) -> Machine {
+    mix_builder(kind, pes, ops).build()
 }
 
 fn run_machine(kind: ProtocolKind, pes: usize, ops: u64) -> u64 {
@@ -129,11 +136,21 @@ fn main() {
     }
 
     // The deferred broadcast path against its reference, the per-sharer
-    // scan, on the 1024-PE RB mix (outputs are pinned equal by
-    // `fast_path_invariants`).
+    // scan, on the 1024-PE RB mix and on RWB with 64 PEs over 16
+    // interleaved buses (the `warm_64x16` benchmark's shape). Outputs
+    // are pinned equal by `fast_path_invariants`.
     for (path, scan) in [("deferred", false), ("forced_scan", true)] {
         time_case(&format!("snoop/rb_1024pe/{path}"), 3, || {
             let mut machine = build_machine(ProtocolKind::Rb, 1024, 300);
+            if scan {
+                machine.force_scan_snoop();
+            }
+            machine.run_to_completion(100_000_000)
+        });
+    }
+    for (path, scan) in [("deferred", false), ("forced_scan", true)] {
+        time_case(&format!("snoop/rwb_64pe_16bus/{path}"), 5, || {
+            let mut machine = mix_builder(ProtocolKind::Rwb, 64, 3000).buses(16).build();
             if scan {
                 machine.force_scan_snoop();
             }

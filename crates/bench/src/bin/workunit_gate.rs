@@ -15,7 +15,7 @@
 //!   from the current engine.
 
 use decache_bench::banner;
-use decache_core::ProtocolKind;
+use decache_core::ProtocolKind::{self, Rb, Rwb};
 use decache_machine::{MachineBuilder, MachineStats};
 use decache_mem::{Addr, AddrRange};
 use decache_telemetry::Json;
@@ -26,32 +26,69 @@ use std::path::PathBuf;
 /// fails.
 const TOLERANCE: f64 = 0.05;
 
+/// How a scenario's PEs reach memory.
+#[derive(Clone, Copy)]
+enum Buses {
+    /// `n` buses interleaved on the low address bits (1 = one bus).
+    Interleaved(usize),
+    /// A global bus for the shared words plus `n` cluster buses.
+    Clustered(usize),
+}
+
 /// The fixed gate scenarios: the mixed workload at three machine sizes
-/// for the two headline protocols, same shapes as `rb_scaling` and
-/// `section7_128pe`.
-const SCENARIOS: &[(&str, ProtocolKind, usize, u64)] = &[
-    ("mix_8pe/RB", ProtocolKind::Rb, 8, 300),
-    ("mix_8pe/RWB", ProtocolKind::Rwb, 8, 300),
-    ("mix_32pe/RB", ProtocolKind::Rb, 32, 300),
-    ("mix_32pe/RWB", ProtocolKind::Rwb, 32, 300),
-    ("mix_128pe/RB", ProtocolKind::Rb, 128, 300),
-    ("mix_128pe/RWB", ProtocolKind::Rwb, 128, 300),
+/// for the two headline protocols on one bus (same shapes as
+/// `rb_scaling` and `section7_128pe`), RWB over Figure 7-1's sixteen
+/// interleaved buses (the `warm_64x16` benchmark's shape), and RB on a
+/// four-cluster hierarchy.
+const SCENARIOS: &[(&str, ProtocolKind, usize, Buses)] = &[
+    ("mix_8pe/RB", Rb, 8, Buses::Interleaved(1)),
+    ("mix_8pe/RWB", Rwb, 8, Buses::Interleaved(1)),
+    ("mix_32pe/RB", Rb, 32, Buses::Interleaved(1)),
+    ("mix_32pe/RWB", Rwb, 32, Buses::Interleaved(1)),
+    ("mix_128pe/RB", Rb, 128, Buses::Interleaved(1)),
+    ("mix_128pe/RWB", Rwb, 128, Buses::Interleaved(1)),
+    ("mix_64pe_16bus/RWB", Rwb, 64, Buses::Interleaved(16)),
+    ("mix_32pe_4cluster/RB", Rb, 32, Buses::Clustered(4)),
 ];
 
-fn run_scenario(kind: ProtocolKind, pes: usize, ops: u64) -> (MachineStats, u64) {
-    let shared = AddrRange::with_len(Addr::new(0), 64);
+/// References per PE in every scenario.
+const OPS_PER_PE: u64 = 300;
+
+/// The shared words, and on clustered machines the global region.
+const SHARED_WORDS: u64 = 64;
+
+fn run_scenario(kind: ProtocolKind, pes: usize, buses: Buses) -> (MachineStats, u64) {
+    let shared = AddrRange::with_len(Addr::new(0), SHARED_WORDS);
     let config = MixConfig {
-        ops_per_pe: ops,
+        ops_per_pe: OPS_PER_PE,
         ..MixConfig::default()
     };
     let memory_words = (1u64 << 14).max((1088 + pes as u64 * 256).next_power_of_two());
-    let mut machine = MachineBuilder::new(kind)
-        .memory_words(memory_words)
-        .cache_lines(256)
-        .processors(pes, |pe| {
-            Box::new(MixWorkload::new(config, shared, pe as u64))
-        })
-        .build();
+    let mut builder = MachineBuilder::new(kind);
+    builder.memory_words(memory_words).cache_lines(256);
+    match buses {
+        Buses::Interleaved(n) => {
+            builder.buses(n).processors(pes, |pe| {
+                Box::new(MixWorkload::new(config, shared, pe as u64))
+            });
+        }
+        Buses::Clustered(clusters) => {
+            // Each PE's private words lie in its own cluster's region.
+            let cluster_words = (memory_words - SHARED_WORDS) / clusters as u64;
+            let per_cluster = pes / clusters;
+            builder
+                .clusters(clusters, SHARED_WORDS)
+                .processors(pes, |pe| {
+                    let base = SHARED_WORDS + (pe / per_cluster) as u64 * cluster_words;
+                    let slot = (pe % per_cluster) as u64;
+                    let private = AddrRange::with_len(Addr::new(base + slot * 256), 256);
+                    Box::new(MixWorkload::with_private_region(
+                        config, shared, private, pe as u64,
+                    ))
+                });
+        }
+    }
+    let mut machine = builder.build();
     let cycles = machine.run_to_completion(100_000_000);
     (machine.stats(), cycles)
 }
@@ -69,10 +106,10 @@ fn main() {
     let path = goldens_path();
 
     let mut rows = Vec::new();
-    for &(name, kind, pes, ops) in SCENARIOS {
-        let (stats, cycles) = run_scenario(kind, pes, ops);
+    for &(name, kind, pes, buses) in SCENARIOS {
+        let (stats, cycles) = run_scenario(kind, pes, buses);
         println!(
-            "{name:<16} cycles={:>7} tag_probes={:>9} sharer_visits={:>9} queue_scans={:>7} total={:>10}",
+            "{name:<20} cycles={:>7} tag_probes={:>9} sharer_visits={:>9} queue_scans={:>7} total={:>10}",
             cycles,
             stats.tag_probes,
             stats.sharer_visits,
@@ -128,7 +165,7 @@ fn main() {
             Some(golden) => {
                 let limit = (golden as f64 * (1.0 + TOLERANCE)).floor() as u64;
                 let delta = 100.0 * (total as f64 - golden as f64) / golden as f64;
-                println!("{name:<16} golden={golden:>10} current={total:>10} ({delta:+.2}%)");
+                println!("{name:<20} golden={golden:>10} current={total:>10} ({delta:+.2}%)");
                 if total > limit {
                     failures.push(format!(
                         "{name}: {total} work units exceeds golden {golden} by {delta:.2}% (> {:.0}%)",

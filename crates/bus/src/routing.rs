@@ -86,23 +86,28 @@ impl Routing {
     ///
     /// Panics (clustered only) if `addr` lies beyond the last cluster's
     /// region.
+    #[inline]
     pub fn bus_of(&self, addr: Addr) -> usize {
+        self.try_bus_of(addr)
+            .unwrap_or_else(|| panic!("address {addr} beyond the last cluster's region"))
+    }
+
+    /// The bus serving `addr`, or `None` (clustered only) if `addr` lies
+    /// beyond the last cluster's region.
+    #[inline]
+    fn try_bus_of(&self, addr: Addr) -> Option<usize> {
         match *self {
-            Routing::Interleaved(t) => t.bus_of(addr),
+            Routing::Interleaved(t) => Some(t.bus_of(addr)),
             Routing::Clustered {
                 clusters,
                 global_words,
                 cluster_words,
             } => {
                 if addr.index() < global_words {
-                    0
+                    Some(0)
                 } else {
-                    let cluster = ((addr.index() - global_words) / cluster_words) as usize;
-                    assert!(
-                        cluster < clusters,
-                        "address {addr} beyond the last cluster's region"
-                    );
-                    1 + cluster
+                    let cluster = (addr.index() - global_words) / cluster_words;
+                    (cluster < clusters as u64).then_some(1 + cluster as usize)
                 }
             }
         }
@@ -132,6 +137,17 @@ impl Routing {
                 pe / per_cluster == bus - 1
             }
         }
+    }
+
+    /// Whether PE `pe` (of `pe_count` total) snoops the bus serving
+    /// `addr`; `false` if no bus serves it.
+    ///
+    /// # Panics
+    ///
+    /// As [`Routing::is_attached`].
+    pub fn snoops(&self, pe: usize, addr: Addr, pe_count: usize) -> bool {
+        self.try_bus_of(addr)
+            .is_some_and(|bus| self.is_attached(pe, bus, pe_count))
     }
 
     /// The cluster PE `pe` belongs to (clustered routing only; all PEs
@@ -232,6 +248,19 @@ mod tests {
     #[should_panic(expected = "beyond the last cluster")]
     fn clustered_out_of_range_panics() {
         let _ = Routing::clustered(2, 128, 64).bus_of(Addr::new(256));
+    }
+
+    #[test]
+    fn no_bus_serves_past_the_last_cluster() {
+        let r = Routing::clustered(2, 128, 64);
+        assert_eq!(r.try_bus_of(Addr::new(255)), Some(2));
+        assert_eq!(r.try_bus_of(Addr::new(256)), None);
+        assert_eq!(r.try_bus_of(Addr::new(1 << 40)), None);
+        assert_eq!(Routing::interleaved(2).try_bus_of(Addr::new(7)), Some(3));
+        // 4 PEs: P0 and P1 snoop cluster bus 1, none snoops past it.
+        assert!(r.snoops(1, Addr::new(0), 4) && r.snoops(1, Addr::new(128), 4));
+        assert!(!r.snoops(2, Addr::new(128), 4));
+        assert!(!r.snoops(0, Addr::new(256), 4));
     }
 
     #[test]

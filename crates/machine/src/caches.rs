@@ -4,16 +4,16 @@
 //!
 //! A broadcast on the paper's bus is snooped by every holder of the
 //! block, but almost no holder looks at its line before the next
-//! broadcast changes it again. So on the shapes where it is exact (one
-//! bus, direct-mapped caches, no faults, and a protocol whose snoops
-//! never create a supplier) a broadcast is recorded once per block, in
-//! a short log, and applied to a holder's line only when something
-//! reads that line. Each block carries a generation, each line the
-//! generation it last caught up to (its *stamp*); a line whose stamp
-//! trails its block's generation *materializes* by replaying the log
-//! entries it missed, through the same dense-table cells the eager scan
-//! applies. Every read of a line goes through this type, so every read
-//! sees the materialized line:
+//! broadcast changes it again. So where it is exact (direct-mapped
+//! caches, no faults, and a protocol whose snoops never create a
+//! supplier, on any bus routing) a broadcast is recorded once per
+//! block, in a short log, and applied to a holder's line only when
+//! something reads that line. Each block carries a generation, each
+//! line the generation it last caught up to (its *stamp*); a line whose
+//! stamp trails its block's generation *materializes* by replaying the
+//! log entries it missed, through the same dense-table cells the eager
+//! scan applies. Every read of a line goes through this type, so every
+//! read sees the materialized line:
 //!
 //! * the `&mut` accessors ([`Caches::probe`], [`Caches::current`],
 //!   [`Caches::install`]'s victim, [`Caches::remove`],
@@ -357,7 +357,7 @@ pub(crate) struct Caches {
     /// Pending-read index: for each address, the PEs stalled on a plain
     /// bus read of it.
     pending_readers: AddrPeIndex,
-    /// Whether broadcasts may be deferred on this machine's shape and
+    /// Whether broadcasts may be deferred with this geometry and
     /// protocol (the machine also requires that no fault is possible).
     defer: bool,
     log: BroadcastLog,
@@ -368,13 +368,11 @@ pub(crate) struct Caches {
 
 impl Caches {
     /// Indexes `stores` (one per PE, all of one geometry) for a machine
-    /// with `memory_words` words. `defer_shape` says whether the machine
-    /// shape allows deferral: one bus and direct-mapped caches.
+    /// with `memory_words` words.
     pub(crate) fn new(
         stores: Vec<TagStore<LineState>>,
         protocol: AnyProtocol,
         memory_words: u64,
-        defer_shape: bool,
     ) -> Self {
         let geometry = stores
             .first()
@@ -391,7 +389,7 @@ impl Caches {
             sharers: AddrPeIndex::with_addr_capacity(n, memory_words),
             owners: AddrPeIndex::with_addr_capacity(n, memory_words),
             pending_readers: AddrPeIndex::with_addr_capacity(n, memory_words),
-            defer: defer_shape && geometry.ways() == 1 && protocol.snoops_never_create_suppliers(),
+            defer: geometry.ways() == 1 && protocol.snoops_never_create_suppliers(),
             log: BroadcastLog::new(&protocol),
             stores,
             geometry,
@@ -779,17 +777,15 @@ impl Caches {
         self.log.clear_block(base);
     }
 
-    /// The per-sharer scan: one cursor step, skip test, attachment check
-    /// (`attached`) and tag probe per holder, each line materialized
-    /// before the snoop applies. Handles every machine shape and the
-    /// fault paths; returns the PEs whose corrupted line the captured
-    /// broadcast healed, in ascending order.
+    /// The per-sharer scan: one cursor step, skip test and tag probe
+    /// per holder, each line materialized before the snoop applies.
+    /// Handles every geometry and the fault paths; returns the PEs whose
+    /// corrupted line the captured broadcast healed, in ascending order.
     pub(crate) fn snoop_each(
         &mut self,
         addr: Addr,
         event: SnoopEvent,
         skip: SkipPes,
-        attached: impl Fn(usize) -> bool,
         stats: &mut MachineStats,
     ) -> Vec<usize> {
         let base = self.block_base(addr);
@@ -797,7 +793,7 @@ impl Caches {
         let mut cursor = 0;
         while let Some(pe) = self.sharers.next_from(base, cursor) {
             cursor = pe + 1;
-            if skip.skips(pe) || !attached(pe) {
+            if skip.skips(pe) {
                 continue;
             }
             stats.sharer_visits += 1;
@@ -879,12 +875,13 @@ impl Caches {
 
     /// Asserts the indexes against a brute-force recompute from the
     /// materialized lines: each index is well formed, the sharer index
-    /// equals the holder sets, the supplier index equals the holders
-    /// whose materialized state supplies, every supplier is caught up,
-    /// and every line behind its block finds the entries it missed in
-    /// the block's log. Returns the pending-read index's member count
-    /// for the caller to check against the PE statuses.
-    pub(crate) fn assert_invariants(&self) -> usize {
+    /// equals the holder sets, every holder snoops the bus serving its
+    /// block (`attached(pe, block)`), the supplier index equals the
+    /// holders whose materialized state supplies, every supplier is
+    /// caught up, and every line behind its block finds the entries it
+    /// missed in the block's log. Returns the pending-read index's
+    /// member count for the caller to check against the PE statuses.
+    pub(crate) fn assert_invariants(&self, attached: impl Fn(usize, Addr) -> bool) -> usize {
         self.sharers.assert_well_formed("sharer");
         self.owners.assert_well_formed("supplier");
         self.pending_readers.assert_well_formed("pending-read");
@@ -919,6 +916,11 @@ impl Caches {
                 assert!(
                     stored.stamp <= gen,
                     "P{pe}'s line at {} is stamped past its block",
+                    stored.addr
+                );
+                assert!(
+                    attached(pe, stored.addr),
+                    "P{pe} holds {} but does not snoop the bus serving it",
                     stored.addr
                 );
                 let entry = self.view_of(stored);
@@ -1000,7 +1002,7 @@ mod tests {
 
     fn pair(protocol: &AnyProtocol) -> (Caches, Eager) {
         let stores = || vec![TagStore::new(Geometry::direct_mapped(LINES)); PES];
-        let caches = Caches::new(stores(), protocol.clone(), ADDRS, true);
+        let caches = Caches::new(stores(), protocol.clone(), ADDRS);
         assert!(caches.defers());
         let eager = Eager {
             stores: stores(),
@@ -1014,7 +1016,7 @@ mod tests {
     }
 
     fn assert_agree(caches: &Caches, eager: &Eager, what: &str) {
-        caches.assert_invariants();
+        caches.assert_invariants(|_, _| true);
         for pe in 0..PES {
             for a in 0..ADDRS {
                 let addr = Addr::new(a);
@@ -1088,7 +1090,7 @@ mod tests {
                         }
                         let mut stats = MachineStats::default();
                         if rng.gen_bool(0.2) {
-                            caches.snoop_each(addr, event, skip, |_| true, &mut stats);
+                            caches.snoop_each(addr, event, skip, &mut stats);
                         } else {
                             caches.broadcast(addr, event, skip, &mut stats);
                         }
@@ -1158,7 +1160,6 @@ mod tests {
             vec![TagStore::new(Geometry::direct_mapped(LINES)); PES],
             protocol,
             ADDRS,
-            true,
         );
         assert!(!caches.defers(), "the table creates a supplier on a snoop");
         caches.defer = true;
@@ -1172,7 +1173,7 @@ mod tests {
             SkipPes::initiator(0),
             &mut stats,
         );
-        caches.assert_invariants();
+        caches.assert_invariants(|_, _| true);
     }
 
     #[test]

@@ -388,6 +388,23 @@ pub enum RestoreError {
         /// The undeclared state.
         state: LineState,
     },
+    /// A cache line holds a block outside the machine's memory.
+    LineOutsideMemory {
+        /// The PE whose cache holds the line.
+        pe: usize,
+        /// The line's block address.
+        addr: Addr,
+    },
+    /// A cache line holds a block whose bus the PE does not snoop (on
+    /// clustered routing: another cluster's private region, or past the
+    /// last one). No run reaches such a state: a PE fills a line only
+    /// through its own bus transaction, on a bus it is attached to.
+    DetachedLine {
+        /// The PE whose cache holds the line.
+        pe: usize,
+        /// The line's block address.
+        addr: Addr,
+    },
     /// A component-level restore failed (tag store, queue, processor,
     /// histogram, ...). The machine's state is unspecified after this
     /// error; discard it.
@@ -419,6 +436,13 @@ impl fmt::Display for RestoreError {
             RestoreError::UnknownState { pe, state } => write!(
                 f,
                 "P{pe} cache holds a line in state {state}, which the protocol does not declare"
+            ),
+            RestoreError::LineOutsideMemory { pe, addr } => {
+                write!(f, "P{pe} cache holds {addr}, outside memory")
+            }
+            RestoreError::DetachedLine { pe, addr } => write!(
+                f,
+                "P{pe} cache holds {addr}, but P{pe} does not snoop the bus serving it"
             ),
             RestoreError::Component { what, detail } => {
                 write!(f, "restoring {what}: {detail}")
@@ -776,9 +800,20 @@ impl Machine {
         let states = self.protocol.states();
         for (pe, cache) in ck.caches.iter().enumerate() {
             check_rng(&format!("P{pe} cache RNG"), cache.rng_state)?;
-            let mut held = cache.lines.iter().filter_map(|line| line.state);
-            if let Some(state) = held.find(|s| !states.contains(s)) {
-                return Err(RestoreError::UnknownState { pe, state });
+            for line in &cache.lines {
+                let Some(state) = line.state else {
+                    continue;
+                };
+                if !states.contains(&state) {
+                    return Err(RestoreError::UnknownState { pe, state });
+                }
+                let addr = geometry.block_base(line.addr);
+                if addr.index() >= self.memory.size() {
+                    return Err(RestoreError::LineOutsideMemory { pe, addr });
+                }
+                if !self.routing.snoops(pe, addr, n) {
+                    return Err(RestoreError::DetachedLine { pe, addr });
+                }
             }
         }
         for (bus, arb) in ck.arbiters.iter().enumerate() {

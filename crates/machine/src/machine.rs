@@ -169,12 +169,7 @@ impl Machine {
             transaction_cycles >= 1,
             "transactions take at least one cycle"
         );
-        let caches = Caches::new(
-            caches,
-            protocol.clone(),
-            memory.size(),
-            routing.bus_count() == 1,
-        );
+        let caches = Caches::new(caches, protocol.clone(), memory.size());
         let mut idle = PeMask::new(n);
         for pe in 0..n {
             idle.set(pe);
@@ -1417,22 +1412,14 @@ impl Machine {
     /// memory exactly like any other supplier — otherwise the locked
     /// read would observe stale memory.
     fn find_supplier(&self, addr: Addr) -> Option<usize> {
-        let bus = self.routing.bus_of(addr);
-        let all_attached = self.routing.bus_count() == 1;
-        let mut cursor = 0;
-        while let Some(pe) = self.caches.next_owner(addr, cursor) {
-            cursor = pe + 1;
-            if all_attached || self.routing.is_attached(pe, bus, self.pe_count()) {
-                debug_assert!(
-                    self.caches
-                        .view(pe, addr)
-                        .is_some_and(|e| self.protocol.supplies_on_snoop_read(e.state)),
-                    "supplier index names P{pe} for {addr} but its line does not supply"
-                );
-                return Some(pe);
-            }
-        }
-        None
+        let pe = self.caches.next_owner(addr, 0)?;
+        debug_assert!(
+            self.caches
+                .view(pe, addr)
+                .is_some_and(|e| self.protocol.supplies_on_snoop_read(e.state)),
+            "supplier index names P{pe} for {addr} but its line does not supply"
+        );
+        Some(pe)
     }
 
     fn execute_read(&mut self, bus: usize, tx: BusTransaction) {
@@ -1715,27 +1702,20 @@ impl Machine {
     /// Dispatches a snoop event to every cache holding `addr` except the
     /// [`SkipPes`] slots, and counts one sharer visit and one tag probe
     /// per holder reached, whichever path runs. The deferred path (see
-    /// [`Caches::broadcast`]) needs a shape and protocol that allow it
-    /// and no possible fault, since it has no parity heal; every other
-    /// machine takes the per-sharer scan, in ascending PE order.
+    /// [`Caches::broadcast`]) needs a geometry and protocol that allow
+    /// it and no possible fault, since it has no parity heal; every
+    /// other machine takes the per-sharer scan, in ascending PE order.
+    /// Neither path tests bus attachment: a PE only fills a line through
+    /// its own bus transaction, which [`Machine::enqueue`] admits only
+    /// on a bus the PE snoops, so every holder of a block snoops the bus
+    /// serving it (checked by [`Machine::assert_fast_path_invariants`]
+    /// and enforced at restore).
     fn dispatch_snoop(&mut self, addr: Addr, event: SnoopEvent, skip: SkipPes) {
         if self.caches.defers() && !self.faults_possible() {
             self.caches.broadcast(addr, event, skip, &mut self.stats);
             return;
         }
-        let bus = self.routing.bus_of(addr);
-        let n = self.pe_count();
-        // On a single-bus machine every PE is attached; hoist the check
-        // out of the per-sharer loop.
-        let all_attached = self.routing.bus_count() == 1;
-        let routing = self.routing;
-        let healed = self.caches.snoop_each(
-            addr,
-            event,
-            skip,
-            |pe| all_attached || routing.is_attached(pe, bus, n),
-            &mut self.stats,
-        );
+        let healed = self.caches.snoop_each(addr, event, skip, &mut self.stats);
         for pe in healed {
             self.fault_stats.broadcast_heals += 1;
             self.take_latency(Some(pe), self.block_base(addr));
@@ -1863,17 +1843,21 @@ impl Machine {
     /// from the architectural state: each per-address index must be
     /// well formed (pooled rows hold two or more members, no row is
     /// shared, free rows are zeroed), the sharer index must equal the
-    /// per-address holder sets scanned from all tag stores, the
-    /// pending-read index must equal the set of PEs stalled in
-    /// [`Pending::Read`], and the idle/done bookkeeping must match the
-    /// status vector. Test instrumentation — O(caches + index size).
+    /// per-address holder sets scanned from all tag stores, every holder
+    /// must snoop the bus serving its block, the pending-read index must
+    /// equal the set of PEs stalled in [`Pending::Read`], and the
+    /// idle/done bookkeeping must match the status vector. Test
+    /// instrumentation — O(caches + index size).
     ///
     /// # Panics
     ///
     /// Panics (with the offending PE/address) if any index diverges.
     #[doc(hidden)]
     pub fn assert_fast_path_invariants(&self) {
-        let pending_index = self.caches.assert_invariants();
+        let n = self.pe_count();
+        let pending_index = self
+            .caches
+            .assert_invariants(|pe, addr| self.routing.snoops(pe, addr, n));
         let mut pending_reads = 0;
         let mut idle = 0;
         let mut done = 0;

@@ -18,8 +18,9 @@
 use decache_bus::ServiceDiscipline;
 use decache_core::ProtocolKind;
 use decache_machine::{FaultPlan, Machine, MachineBuilder, Script};
-use decache_mem::{Addr, Word};
+use decache_mem::{Addr, AddrRange, Word};
 use decache_rng::Rng;
+use decache_workloads::{MixConfig, MixWorkload};
 
 const PROTOCOLS: [ProtocolKind; 8] = [
     ProtocolKind::Rb,
@@ -257,10 +258,10 @@ fn wake_schedule_matches_single_stepping() {
 }
 
 /// Two machines from the same seed, one on the default snoop dispatch
-/// (deferred where the shape allows) and one forced onto the
-/// per-sharer scan path, must agree on everything observable —
-/// including the work-unit counters, which count logical work and so
-/// must be path-independent. A third of the corpus layers a fault storm
+/// (deferred wherever the caches are direct-mapped and no fault is
+/// possible) and one forced onto the per-sharer scan path, must agree
+/// on everything observable — including the work-unit counters, which
+/// count logical work and so must be path-independent. A third of the corpus layers a fault storm
 /// on both machines: faults force the scan path at runtime, so the
 /// dispatcher's fallback is exercised too, and the fault histories must
 /// coincide exactly. Covers all 7 paper protocols, MESI, and every bus
@@ -363,4 +364,102 @@ fn deferred_broadcasts_materialize_far_fewer_lines_than_they_visit() {
         "{} materializations for {visits} sharer visits",
         deferred.materializations()
     );
+}
+
+/// Runs a deferred and a forced-scan machine from `build` side by side:
+/// their checkpoints must agree halfway through the run and at the
+/// end, the finished machines must be observably identical, and the
+/// deferred one must actually have deferred (some line caught up on a
+/// logged broadcast).
+fn assert_defers_like_the_scan(build: impl Fn() -> Machine, what: &str) {
+    let halfway = build().run_to_completion(10_000_000) / 2;
+    let mut deferred = build();
+    let mut scanned = build();
+    scanned.force_scan_snoop();
+    assert!(
+        !deferred.run(halfway) && !scanned.run(halfway),
+        "{what}: ended early"
+    );
+    assert_eq!(
+        deferred.checkpoint().expect("mix workloads checkpoint"),
+        scanned.checkpoint().expect("mix workloads checkpoint"),
+        "{what}: checkpoints differ mid-run"
+    );
+    assert!(
+        deferred.run(10_000_000) && scanned.run(10_000_000),
+        "{what}: unfinished"
+    );
+    deferred.assert_fast_path_invariants();
+    scanned.assert_fast_path_invariants();
+    assert_observably_identical(&deferred, &scanned, what, 0);
+    assert_eq!(
+        deferred.checkpoint().expect("mix workloads checkpoint"),
+        scanned.checkpoint().expect("mix workloads checkpoint"),
+        "{what}: checkpoints differ at the end"
+    );
+    assert_eq!(
+        scanned.materializations(),
+        0,
+        "{what}: the scan path deferred"
+    );
+    assert!(
+        deferred.materializations() > 0,
+        "{what}: no broadcast was deferred"
+    );
+}
+
+/// Figure 7-1's interleaved buses at the `warm_64x16` benchmark's shape:
+/// RWB, 64 PEs on 16 buses, the mixed workload with 256-line caches.
+#[test]
+fn interleaved_buses_defer_like_the_scan() {
+    let build = || {
+        let config = MixConfig {
+            ops_per_pe: 400,
+            ..MixConfig::default()
+        };
+        let shared = AddrRange::with_len(Addr::new(0), 64);
+        MachineBuilder::new(ProtocolKind::Rwb)
+            .memory_words(1 << 15)
+            .cache_lines(256)
+            .buses(16)
+            .processors(64, |pe| {
+                Box::new(MixWorkload::new(config, shared, pe as u64))
+            })
+            .build()
+    };
+    assert_defers_like_the_scan(build, "RWB 64 PEs x 16 buses");
+}
+
+/// The two-level hierarchy: shared references on the global bus, each
+/// PE's private references on its own cluster's bus, under RB and RWB.
+#[test]
+fn clustered_buses_defer_like_the_scan() {
+    const PES: usize = 16;
+    const CLUSTERS: usize = 4;
+    const MEMORY: u64 = 1 << 13;
+    let config = MixConfig {
+        ops_per_pe: 400,
+        ..MixConfig::default()
+    };
+    let shared = AddrRange::with_len(Addr::new(0), GLOBAL_WORDS);
+    for kind in [ProtocolKind::Rb, ProtocolKind::Rwb] {
+        let build = || {
+            let cluster_words = (MEMORY - GLOBAL_WORDS) / CLUSTERS as u64;
+            let per_cluster = PES / CLUSTERS;
+            MachineBuilder::new(kind)
+                .memory_words(MEMORY)
+                .cache_lines(64)
+                .clusters(CLUSTERS, GLOBAL_WORDS)
+                .processors(PES, |pe| {
+                    let base = GLOBAL_WORDS + (pe / per_cluster) as u64 * cluster_words;
+                    let slot = (pe % per_cluster) as u64;
+                    let private = AddrRange::with_len(Addr::new(base + slot * 128), 128);
+                    Box::new(MixWorkload::with_private_region(
+                        config, shared, private, pe as u64,
+                    ))
+                })
+                .build()
+        };
+        assert_defers_like_the_scan(build, &format!("{kind} on {CLUSTERS} clusters"));
+    }
 }

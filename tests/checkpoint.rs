@@ -571,6 +571,67 @@ fn restore_validates_version_protocol_and_shape() {
             "Display should name the PE and the state: {err}"
         );
     }
+
+    // A held line whose block lies outside memory is rejected before
+    // anything is restored, however far out it lies (the offsets keep
+    // the line in its set). The golden machine has 64 words.
+    for offset in [64, 1 << 40] {
+        let mut outside = ck.clone();
+        let line = outside.caches[1]
+            .lines
+            .iter_mut()
+            .find(|line| line.state.is_some())
+            .expect("the golden machine holds lines");
+        line.addr = Addr::new(line.addr.index() + offset);
+        let addr = line.addr;
+        let err = golden_machine(ProtocolKind::Rb)
+            .restore(&outside)
+            .expect_err("a line outside memory must be rejected");
+        assert_eq!(err, RestoreError::LineOutsideMemory { pe: 1, addr });
+        assert!(
+            err.to_string()
+                .contains(&format!("P1 cache holds {addr}, outside memory")),
+            "Display should name the PE and the address: {err}"
+        );
+    }
+
+    // On clustered routing, a held line on a cluster bus the PE does not
+    // snoop is rejected: P0 (cluster 0) holding a word of cluster 1's
+    // region, or one past the last cluster's region (memory 101, global
+    // 32, two clusters of 34 words: word 100 has no bus).
+    let clustered = || {
+        MachineBuilder::new(ProtocolKind::Rb)
+            .memory_words(101)
+            .cache_lines(16)
+            .clusters(2, 32)
+            .processor(Script::new().read(Addr::new(0)).read(Addr::new(36)).build())
+            .processor(Script::new().read(Addr::new(66)).build())
+            .build()
+    };
+    let mut machine = clustered();
+    machine.run_to_completion(CAP);
+    let ck = machine.checkpoint().expect("capture");
+    let mut resumed = clustered();
+    resumed.restore(&ck).expect("an attached holder restores");
+    for addr in [Addr::new(80), Addr::new(100)] {
+        let mut detached = ck.clone();
+        let line = detached.caches[0]
+            .lines
+            .iter_mut()
+            .find(|line| line.addr.index() % 16 == addr.index() % 16)
+            .expect("P0 holds a line in the target set");
+        assert!(line.state.is_some(), "P0 holds {}", line.addr);
+        line.addr = addr;
+        let err = clustered()
+            .restore(&detached)
+            .expect_err("a line off the PE's buses must be rejected");
+        assert_eq!(err, RestoreError::DetachedLine { pe: 0, addr });
+        assert!(
+            err.to_string()
+                .contains(&format!("P0 cache holds {addr}, but P0 does not snoop")),
+            "Display should name the PE and the address: {err}"
+        );
+    }
 }
 
 /// A closure processor cannot export its state; [`Machine::checkpoint`]
