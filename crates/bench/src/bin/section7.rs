@@ -8,8 +8,9 @@
 //! demand 12.8 MACS, so one bus is hopelessly saturated and the
 //! multiple-bus organization is required. Historically this bin was
 //! infeasible: the scan-every-PE loop made each cycle cost O(m) even
-//! with every PE stalled on the saturated bus. The wake-schedule
-//! engine runs the 128-PE scenario in milliseconds, and the deferred
+//! with every PE stalled on the saturated bus. The 128-PE scenario now
+//! runs in milliseconds (the wake schedule skips no cycle of it: with
+//! one-cycle transactions every cycle is live), and the deferred
 //! broadcast path plus packed tag-store rows keep the 1024-PE runs in
 //! the seconds range.
 

@@ -4,13 +4,13 @@
 //! whose edges are labelled with the triggering request (`CR`, `CW`,
 //! `BR`, `BW`, `BI`) and a modifier describing the side action (generate
 //! a bus write, interrupt and supply, ...). [`transition_table`] recovers
-//! that diagram mechanically from any [`Protocol`] implementation, and
+//! that diagram mechanically from a protocol's compiled rule table, and
 //! [`to_dot`] renders it as Graphviz DOT — this is how the `figure_3_1`
 //! and `figure_5_1` experiment binaries regenerate the figures, and how
 //! tests pin every edge.
 
-use crate::{CpuOutcome, LineState, Protocol, SnoopEvent};
-use decache_mem::Word;
+use crate::ir::{Effect, SnoopKind, TableInput, TableProtocol, TransitionKey};
+use crate::{LineState, Protocol};
 use std::fmt;
 
 /// The stimulus labels of the figures' legends.
@@ -83,94 +83,68 @@ impl fmt::Display for TransitionRow {
 }
 
 /// Extracts the complete per-line state transition diagram of a protocol
-/// by driving every state through every stimulus.
+/// from its compiled cells: one row per held state of the table's
+/// [domain](crate::ir::RuleTable::domain) and per stimulus of the
+/// figures (`BI` only where the domain has it).
 ///
 /// For CPU requests that miss, the destination is the state after the
 /// protocol's own bus transaction completes, and the modifier names the
 /// generated transaction — exactly the convention of the paper's figures.
-pub fn transition_table(protocol: &dyn Protocol) -> Vec<TransitionRow> {
-    let probe = Word::ZERO;
+/// A snooped bus read of a supplying state shows the supply, as the
+/// figures do ("interrupt BR and supply the data").
+///
+/// # Panics
+///
+/// Panics if a diagram cell has no rule, or an eviction effect.
+pub fn transition_table(protocol: &TableProtocol) -> Vec<TransitionRow> {
     let mut rows = Vec::new();
-
-    for from in protocol.states() {
-        // CPU read.
-        rows.push(match protocol.cpu_read(Some(from)) {
-            CpuOutcome::Hit { next } => TransitionRow {
-                from,
-                stimulus: Stimulus::CpuRead,
-                to: next,
-                modifier: String::new(),
-            },
-            CpuOutcome::Miss { intent } => TransitionRow {
-                from,
-                stimulus: Stimulus::CpuRead,
-                to: protocol.own_complete(Some(from), intent),
-                modifier: format!("generate {intent}"),
-            },
-        });
-
-        // CPU write.
-        rows.push(match protocol.cpu_write(Some(from)) {
-            CpuOutcome::Hit { next } => TransitionRow {
-                from,
-                stimulus: Stimulus::CpuWrite,
-                to: next,
-                modifier: String::new(),
-            },
-            CpuOutcome::Miss { intent } => TransitionRow {
-                from,
-                stimulus: Stimulus::CpuWrite,
-                to: protocol.own_complete(Some(from), intent),
-                modifier: format!("generate {intent}"),
-            },
-        });
-
-        // Snooped bus read: the supply path takes precedence, exactly as
-        // in the figures ("interrupt BR and supply the data").
-        if protocol.supplies_on_snoop_read(from) {
-            rows.push(TransitionRow {
-                from,
-                stimulus: Stimulus::BusRead,
-                to: protocol.after_supply(from),
-                modifier: "interrupt BR, supply data".to_owned(),
-            });
+    for cell in protocol.table().domain() {
+        let TransitionKey {
+            state: Some(from),
+            input,
+        } = cell.key
+        else {
+            continue;
+        };
+        let stimulus = match input {
+            TableInput::CpuRead => Stimulus::CpuRead,
+            TableInput::CpuWrite => Stimulus::CpuWrite,
+            TableInput::Snoop(SnoopKind::Read) => Stimulus::BusRead,
+            TableInput::Snoop(SnoopKind::Write) => Stimulus::BusWrite,
+            TableInput::Snoop(SnoopKind::Invalidate) => Stimulus::BusInvalidate,
+            _ => continue,
+        };
+        let input = if stimulus == Stimulus::BusRead && protocol.supplies_on_snoop_read(from) {
+            TableInput::Supply
         } else {
-            let out = protocol.snoop(from, SnoopEvent::Read(probe));
-            rows.push(TransitionRow {
-                from,
-                stimulus: Stimulus::BusRead,
-                to: out.next,
-                modifier: if out.capture {
-                    "capture data".to_owned()
-                } else {
-                    String::new()
-                },
-            });
-        }
-
-        // Snooped bus write.
-        let out = protocol.snoop(from, SnoopEvent::Write(probe));
+            input
+        };
+        let effect = protocol
+            .cell_effect(Some(from), input, true)
+            .unwrap_or_else(|| panic!("{}: no rule for {from} --{input}", protocol.name()));
+        let (to, modifier) = match effect {
+            Effect::Hit { next }
+            | Effect::Next {
+                next,
+                capture: false,
+            } => (next, String::new()),
+            Effect::Next {
+                next,
+                capture: true,
+            } => (next, "capture data".to_owned()),
+            Effect::Issue { intent } => (
+                protocol.own_complete(Some(from), intent),
+                format!("generate {intent}"),
+            ),
+            Effect::Supply { next } => (next, "interrupt BR, supply data".to_owned()),
+            Effect::Evict { .. } => panic!("{}: {from} --{input} evicts", protocol.name()),
+        };
         rows.push(TransitionRow {
             from,
-            stimulus: Stimulus::BusWrite,
-            to: out.next,
-            modifier: if out.capture {
-                "capture data".to_owned()
-            } else {
-                String::new()
-            },
+            stimulus,
+            to,
+            modifier,
         });
-
-        // Snooped bus invalidate — only for protocols that can emit it.
-        if protocol.uses_bus_invalidate() {
-            let out = protocol.snoop(from, SnoopEvent::Invalidate);
-            rows.push(TransitionRow {
-                from,
-                stimulus: Stimulus::BusInvalidate,
-                to: out.next,
-                modifier: String::new(),
-            });
-        }
     }
     rows
 }

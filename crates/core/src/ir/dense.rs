@@ -9,8 +9,7 @@
 //! decision is then one index computation and one load, for every
 //! protocol alike.
 
-use super::{Effect, RuleTable, MAX_K};
-use crate::introspect::{SnoopKind, TableInput, TransitionKey};
+use super::{Effect, RuleTable, SnoopKind, TableInput, TransitionKey, MAX_K};
 use crate::{BusIntent, CpuOutcome, LineState, Protocol, ProtocolKind, SnoopEvent, SnoopOutcome};
 use std::fmt;
 
@@ -113,7 +112,7 @@ pub struct SnoopStep {
 ///
 /// Trait methods panic with the table name and the offending cell when
 /// the table has no rule for it or the rule's effect has the wrong shape
-/// — exactly the situations the static analyzer in `decache-protocol-ir`
+/// — exactly the situations the static analyzer in `decache-verify`
 /// proves absent before a table is ever run. [`TableProtocol::new`]
 /// panics on a rule for a `FirstWrite` count above [`MAX_K`], which
 /// the dense layout has no slot for.
@@ -135,10 +134,7 @@ pub struct SnoopStep {
 #[derive(Clone)]
 pub struct TableProtocol {
     cells: [Cell; CELLS],
-    name: String,
-    states: Vec<LineState>,
-    uses_bus_invalidate: bool,
-    broadcasts_write_data: bool,
+    table: RuleTable,
     fill_depends_on_sharers: bool,
     snoops_never_create_suppliers: bool,
 }
@@ -195,10 +191,7 @@ impl TableProtocol {
             cells,
             fill_depends_on_sharers: table.has_guards(),
             snoops_never_create_suppliers,
-            name: table.name,
-            states: table.states,
-            uses_bus_invalidate: table.uses_bus_invalidate,
-            broadcasts_write_data: table.broadcasts_write_data,
+            table,
         }
     }
 
@@ -211,6 +204,11 @@ impl TableProtocol {
     /// `1..=`[`MAX_K`].
     pub fn build(kind: ProtocolKind) -> Self {
         TableProtocol::new(super::kind_table(kind))
+    }
+
+    /// The rule table this protocol was compiled from.
+    pub fn table(&self) -> &RuleTable {
+        &self.table
     }
 
     /// The effect compiled into the `(state, input, other_readable)`
@@ -287,7 +285,7 @@ impl TableProtocol {
         let cell = TransitionKey { state, input };
         panic!(
             "{}: no rule for {cell} (other_readable={other_readable})",
-            self.name
+            self.table.name
         )
     }
 
@@ -303,7 +301,7 @@ impl TableProtocol {
         let cell = TransitionKey { state, input };
         panic!(
             "{}: rule {cell} → {effect} has a non-{expected} effect",
-            self.name
+            self.table.name
         )
     }
 }
@@ -311,19 +309,19 @@ impl TableProtocol {
 impl fmt::Debug for TableProtocol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TableProtocol")
-            .field("name", &self.name)
-            .field("states", &self.states)
+            .field("name", &self.table.name)
+            .field("states", &self.table.states)
             .finish_non_exhaustive()
     }
 }
 
 impl Protocol for TableProtocol {
     fn name(&self) -> String {
-        self.name.clone()
+        self.table.name.clone()
     }
 
     fn states(&self) -> Vec<LineState> {
-        self.states.clone()
+        self.table.states.clone()
     }
 
     #[inline]
@@ -393,11 +391,11 @@ impl Protocol for TableProtocol {
     }
 
     fn broadcasts_write_data(&self) -> bool {
-        self.broadcasts_write_data
+        self.table.broadcasts_write_data
     }
 
     fn uses_bus_invalidate(&self) -> bool {
-        self.uses_bus_invalidate
+        self.table.uses_bus_invalidate
     }
 
     fn fill_depends_on_sharers(&self) -> bool {
@@ -430,14 +428,7 @@ mod tests {
             "every count past MAX_K shares the empty overflow slot"
         );
 
-        let mut inputs = vec![TableInput::CpuRead, TableInput::CpuWrite];
-        inputs.extend(
-            [BusIntent::Read, BusIntent::Write, BusIntent::Invalidate].map(TableInput::OwnComplete),
-        );
-        inputs.extend([TableInput::OwnLockedRead, TableInput::OwnUnlockWrite]);
-        inputs.extend(SnoopKind::ALL.map(TableInput::Snoop));
-        inputs.extend([TableInput::Supply, TableInput::Evict]);
-        let slots: Vec<usize> = inputs.into_iter().map(input_slot).collect();
+        let slots: Vec<usize> = TableInput::ALL.into_iter().map(input_slot).collect();
         assert_eq!(slots, (0..INPUTS).collect::<Vec<_>>());
     }
 

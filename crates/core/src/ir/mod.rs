@@ -29,17 +29,21 @@
 //! `S → M` upgrade rides the RWB bus-invalidate signal `BI`. Zero
 //! engine code knows about MESI; it is just one more table.
 //!
-//! Static analysis of rule tables (totality, determinism, invariant
-//! preservation over all n, dead rules) lives in `decache-protocol-ir`;
-//! this module only defines the data model, the tables, and their
-//! executor.
+//! A table's cells and the domain of cells it must cover
+//! ([`RuleTable::domain`]) are defined here too. Static analysis of
+//! rule tables (totality, determinism, invariant preservation over all
+//! n, dead rules) lives in `decache-verify`, beside the dead-transition
+//! lint; this module only defines the data model, the tables, their
+//! domain, and their executor.
 //!
 //! [`Protocol`]: crate::Protocol
 
 mod dense;
+mod domain;
 mod tables;
 
 pub use dense::{SnoopStep, TableProtocol};
+pub use domain::{DomainCell, SnoopKind, TableInput, TransitionKey};
 pub use tables::{hand_table, kind_table, mesi};
 
 /// The largest RWB locality threshold `k` (footnote 6) a table may use:
@@ -48,7 +52,6 @@ pub use tables::{hand_table, kind_table, mesi};
 /// `c <= MAX_K`. The paper's own default is `k = 2`.
 pub const MAX_K: u8 = 8;
 
-use crate::introspect::{TableInput, TransitionKey};
 use crate::{BusIntent, LineState};
 use std::fmt;
 
@@ -96,10 +99,8 @@ impl fmt::Display for Guard {
 }
 
 /// The action half of a rule. Each variant corresponds to one
-/// [`crate::Protocol`] decision shape, and [`Effect::render`] reproduces the
-/// exact outcome strings of [`crate::introspect::probe_outcome`] so
-/// compiled tables can be diffed against probed trait behaviour
-/// byte-for-byte.
+/// [`crate::Protocol`] decision shape ([`TableInput::accepts`] says
+/// which input takes which).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Effect {
     /// Serve the CPU reference from the cache; the line moves to `next`.
@@ -135,9 +136,9 @@ pub enum Effect {
 }
 
 impl Effect {
-    /// Renders the effect exactly as
-    /// [`crate::introspect::probe_outcome`] renders the corresponding
-    /// trait outcome.
+    /// Renders the effect as the golden table and the analyzer's
+    /// diagnostics spell it (`"hit→R"`, `"miss(BW)"`, `"capture→R"`,
+    /// `"supply→R"`, `"writeback"`, …).
     pub fn render(self) -> String {
         match self {
             Effect::Hit { next } => format!("hit→{next}"),
@@ -208,9 +209,9 @@ impl fmt::Display for Rule {
 ///
 /// Well-formedness (exactly one matching rule per `(state, input,
 /// configuration)`, invariant preservation, …) is *not* enforced here —
-/// that is the static analyzer's job in `decache-protocol-ir`; the
-/// executor panics informatively on lookup failure, e.g. for a state
-/// outside the table's vocabulary.
+/// that is the static analyzer's job in `decache-verify`; the executor
+/// panics informatively on lookup failure, e.g. for a state outside the
+/// table's vocabulary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuleTable {
     /// The protocol's display name.
@@ -353,7 +354,7 @@ mod tests {
     }
 
     #[test]
-    fn effect_rendering_matches_probe_vocabulary() {
+    fn effect_rendering_matches_the_golden_vocabulary() {
         assert_eq!(Effect::Hit { next: Valid }.render(), "hit→V");
         assert_eq!(
             Effect::Issue {
@@ -402,16 +403,5 @@ mod tests {
         table.rules.retain(|r| r.input != TableInput::CpuRead);
         let p = TableProtocol::new(table);
         let _ = p.cpu_read(None);
-    }
-
-    #[test]
-    fn mesi_probe_outcomes_are_total_over_the_domain() {
-        let p = TableProtocol::new(mesi());
-        for key in crate::introspect::transition_domain(&p) {
-            assert!(
-                crate::introspect::probe_outcome(&p, key).is_some(),
-                "MESI: non-total handling of {key}"
-            );
-        }
     }
 }

@@ -7,8 +7,7 @@
 //! every rule, and the figure goldens, the product checker and the
 //! static analyzer check what they mean.
 
-use super::{Effect, Guard, Rule, RuleTable, MAX_K};
-use crate::introspect::{SnoopKind, TableInput};
+use super::{Effect, Guard, Rule, RuleTable, SnoopKind, TableInput, MAX_K};
 use crate::{BusIntent, LineState, ProtocolKind};
 use LineState::{Dirty, FirstWrite, Invalid, Local, Readable, Reserved, Valid};
 

@@ -22,9 +22,10 @@
 //!
 //! Every protocol is defined once, as a guarded-action rule table
 //! ([`ir::kind_table`]), and runs from that table compiled to a dense
-//! array ([`AnyProtocol`]). The machine executes it, the product
-//! checker and the conformance oracle in `decache-verify` replay it,
-//! and the static analyzer in `decache-protocol-ir` proves it. The
+//! array ([`AnyProtocol`]). The machine executes it; the product
+//! checker, the conformance oracle and the static analyzer in
+//! `decache-verify` replay and prove it, reading the table's cells off
+//! its one transition domain ([`ir::RuleTable::domain`]). The
 //! compiled table implements the [`Protocol`] trait: a per-line state
 //! machine consulted by the cache controller on CPU references, on
 //! completion of its own bus transactions, and on snooped foreign
@@ -57,7 +58,6 @@
 
 mod config;
 mod diagram;
-pub mod introspect;
 pub mod ir;
 mod kind;
 mod protocol;

@@ -106,7 +106,8 @@ pub struct SnoopOutcome {
 /// Implementations are pure: the same inputs always yield the same
 /// decision, and all mutation is performed by the cache controller in
 /// `decache-machine`. This keeps the protocol enumerable by the
-/// product-machine model checker in `decache-verify`.
+/// product-machine model checker in `decache-verify`. The compiled rule
+/// table ([`crate::ir::TableProtocol`]) is the only implementation.
 ///
 /// # Panics
 ///

@@ -1,15 +1,15 @@
 //! Exhaustive equivalence of the dense compiled table the machine runs
 //! ([`AnyProtocol`]) with a linear [`RuleTable::matching`] scan over the
-//! same rule table ([`Linear`] below), the reference semantics of a
-//! table. Every protocol kind, every RWB threshold, every cell, both
-//! guard bits.
+//! same rule table, the reference semantics of a table. Every protocol
+//! kind, every RWB threshold, every cell, both guard bits.
 
-use decache_core::introspect::{transition_domain, SnoopKind, TableInput, TransitionKey};
 use decache_core::ir::MAX_K;
-use decache_core::ir::{hand_table, mesi, Effect, Guard, Rule, RuleTable, TableProtocol};
-use decache_core::{
-    AnyProtocol, BusIntent, CpuOutcome, LineState, Protocol, ProtocolKind, SnoopEvent, SnoopOutcome,
+use decache_core::ir::{
+    hand_table, mesi, Effect, Guard, Rule, RuleTable, SnoopKind, TableInput, TableProtocol,
+    TransitionKey,
 };
+use decache_core::{AnyProtocol, BusIntent, CpuOutcome, LineState, Protocol, ProtocolKind};
+use decache_core::{SnoopEvent, SnoopOutcome};
 use decache_mem::Word;
 use LineState::{Dirty, FirstWrite, Invalid, Local, Readable, Reserved, Valid};
 
@@ -47,180 +47,13 @@ fn every_state() -> Vec<Option<LineState>> {
     states
 }
 
-fn every_input() -> Vec<TableInput> {
-    let mut inputs = vec![TableInput::CpuRead, TableInput::CpuWrite];
-    inputs.extend(
-        [BusIntent::Read, BusIntent::Write, BusIntent::Invalidate].map(TableInput::OwnComplete),
-    );
-    inputs.extend([TableInput::OwnLockedRead, TableInput::OwnUnlockWrite]);
-    inputs.extend(SnoopKind::ALL.map(TableInput::Snoop));
-    inputs.extend([TableInput::Supply, TableInput::Evict]);
-    inputs
-}
-
-/// The reference executor: one linear scan of the rule list per
-/// decision.
-#[derive(Debug)]
-struct Linear(RuleTable);
-
-impl Linear {
-    fn effect(&self, state: Option<LineState>, input: TableInput, other_readable: bool) -> Effect {
-        let cell = TransitionKey { state, input };
-        self.0
-            .matching(state, input, other_readable)
-            .unwrap_or_else(|| panic!("{}: no rule for {cell}", self.0.name))
-            .effect
-    }
-
-    fn next(&self, state: Option<LineState>, input: TableInput, other_readable: bool) -> LineState {
-        match self.effect(state, input, other_readable) {
-            Effect::Next { next, .. } => next,
-            other => panic!("{}: {input} has effect {other}", self.0.name),
-        }
-    }
-
-    fn cpu(&self, state: Option<LineState>, input: TableInput) -> CpuOutcome {
-        match self.effect(state, input, true) {
-            Effect::Hit { next } => CpuOutcome::Hit { next },
-            Effect::Issue { intent } => CpuOutcome::Miss { intent },
-            other => panic!("{}: {input} has effect {other}", self.0.name),
-        }
-    }
-}
-
-impl Protocol for Linear {
-    fn name(&self) -> String {
-        self.0.name.clone()
-    }
-
-    fn states(&self) -> Vec<LineState> {
-        self.0.states.clone()
-    }
-
-    fn cpu_read(&self, state: Option<LineState>) -> CpuOutcome {
-        self.cpu(state, TableInput::CpuRead)
-    }
-
-    fn cpu_write(&self, state: Option<LineState>) -> CpuOutcome {
-        self.cpu(state, TableInput::CpuWrite)
-    }
-
-    fn own_complete(&self, state: Option<LineState>, intent: BusIntent) -> LineState {
-        self.own_complete_shared(state, intent, true)
-    }
-
-    fn own_complete_shared(
-        &self,
-        state: Option<LineState>,
-        intent: BusIntent,
-        other_holders: bool,
-    ) -> LineState {
-        self.next(state, TableInput::OwnComplete(intent), other_holders)
-    }
-
-    fn own_locked_read_complete(&self, state: Option<LineState>) -> LineState {
-        self.next(state, TableInput::OwnLockedRead, true)
-    }
-
-    fn own_unlock_write_complete(&self, state: Option<LineState>) -> LineState {
-        self.next(state, TableInput::OwnUnlockWrite, true)
-    }
-
-    fn snoop(&self, state: LineState, event: SnoopEvent) -> SnoopOutcome {
-        let input = TableInput::Snoop(SnoopKind::of(event));
-        match self.effect(Some(state), input, true) {
-            Effect::Next { next, capture } => SnoopOutcome { next, capture },
-            other => panic!("{}: {input} has effect {other}", self.0.name),
-        }
-    }
-
-    fn supplies_on_snoop_read(&self, state: LineState) -> bool {
-        self.0
-            .matching(Some(state), TableInput::Supply, true)
-            .is_some()
-    }
-
-    fn after_supply(&self, state: LineState) -> LineState {
-        match self.effect(Some(state), TableInput::Supply, true) {
-            Effect::Supply { next } => next,
-            other => panic!("{}: supply has effect {other}", self.0.name),
-        }
-    }
-
-    fn writeback_on_evict(&self, state: LineState) -> bool {
-        match self.effect(Some(state), TableInput::Evict, true) {
-            Effect::Evict { writeback } => writeback,
-            other => panic!("{}: evict has effect {other}", self.0.name),
-        }
-    }
-
-    fn broadcasts_write_data(&self) -> bool {
-        self.0.broadcasts_write_data
-    }
-
-    fn uses_bus_invalidate(&self) -> bool {
-        self.0.uses_bus_invalidate
-    }
-
-    fn fill_depends_on_sharers(&self) -> bool {
-        self.0.has_guards()
-    }
-}
-
-/// What a protocol's trait methods decide for one cell, in [`Effect`]
-/// form. Snoops carry a nonzero word: no decision may depend on it.
-fn decide(p: &dyn Protocol, key: TransitionKey, other_readable: bool) -> Effect {
-    let cpu = |out: CpuOutcome| match out {
-        CpuOutcome::Hit { next } => Effect::Hit { next },
-        CpuOutcome::Miss { intent } => Effect::Issue { intent },
-    };
-    let next = |next| Effect::Next {
-        next,
-        capture: false,
-    };
-    let held = || {
-        key.state
-            .expect("snoop, supply and evict cells are for held lines")
-    };
-    let word = Word::new(0x5a5a);
-    match key.input {
-        TableInput::CpuRead => cpu(p.cpu_read(key.state)),
-        TableInput::CpuWrite => cpu(p.cpu_write(key.state)),
-        TableInput::OwnComplete(intent) => {
-            next(p.own_complete_shared(key.state, intent, other_readable))
-        }
-        TableInput::OwnLockedRead => next(p.own_locked_read_complete(key.state)),
-        TableInput::OwnUnlockWrite => next(p.own_unlock_write_complete(key.state)),
-        TableInput::Snoop(kind) => {
-            let event = match kind {
-                SnoopKind::Read => SnoopEvent::Read(word),
-                SnoopKind::Write => SnoopEvent::Write(word),
-                SnoopKind::Invalidate => SnoopEvent::Invalidate,
-                SnoopKind::LockedRead => SnoopEvent::LockedRead(word),
-                SnoopKind::UnlockWrite => SnoopEvent::UnlockWrite(word),
-            };
-            let out = p.snoop(held(), event);
-            Effect::Next {
-                next: out.next,
-                capture: out.capture,
-            }
-        }
-        TableInput::Supply => Effect::Supply {
-            next: p.after_supply(held()),
-        },
-        TableInput::Evict => Effect::Evict {
-            writeback: p.writeback_on_evict(held()),
-        },
-    }
-}
-
 /// Asserts that every dense cell holds what the linear scan finds, over
 /// the whole layout: every state slot (declared or not), every input,
 /// both guard bits. Returns the number of filled cells.
 fn assert_cells_match_scan(label: &str, table: &RuleTable, dense: &TableProtocol) -> usize {
     let mut filled = 0;
     for state in every_state() {
-        for input in every_input() {
+        for input in TableInput::ALL {
             for other_readable in [false, true] {
                 let want = table
                     .matching(state, input, other_readable)
@@ -282,80 +115,150 @@ fn overlapping_rules_resolve_to_the_first_match() {
     );
 }
 
-/// The dense table and the linear scan agree on every [`Protocol`]
-/// method, over the dense table's whole transition domain and both
-/// guard bits, and on every flag.
-#[test]
-fn dense_and_linear_executors_agree_on_every_protocol_method() {
-    for kind in kinds() {
-        let dense = AnyProtocol::build(kind);
-        let linear = Linear(table(kind));
-        assert_eq!(linear.name(), dense.name(), "{kind}: name");
-        assert_eq!(kind.to_string(), dense.name(), "{kind}: display name");
-        assert_eq!(linear.states(), dense.states(), "{kind}: states");
-        assert_eq!(
-            linear.uses_bus_invalidate(),
-            dense.uses_bus_invalidate(),
-            "{kind}: uses_bus_invalidate"
-        );
-        assert_eq!(
-            linear.broadcasts_write_data(),
-            dense.broadcasts_write_data(),
-            "{kind}: broadcasts_write_data"
-        );
-        assert_eq!(
-            linear.fill_depends_on_sharers(),
-            dense.fill_depends_on_sharers(),
-            "{kind}: fill_depends_on_sharers"
-        );
+/// The linear scan's effect for a cell under the sampled guard bit.
+fn scan(table: &RuleTable, key: TransitionKey, other_readable: bool) -> Effect {
+    table
+        .matching(key.state, key.input, other_readable)
+        .unwrap_or_else(|| panic!("{}: no rule for {key}", table.name))
+        .effect
+}
 
-        let domain = transition_domain(&dense);
+/// The next state of a completion, snoop or supply effect.
+fn next_state(effect: Effect) -> LineState {
+    match effect {
+        Effect::Next { next, .. } | Effect::Supply { next } => next,
+        other => panic!("{other} has no next state"),
+    }
+}
+
+/// Every [`Protocol`] method of the dense table returns what the linear
+/// scan's rule says, over the table's whole transition domain (both
+/// guard bits where the method samples one), and every flag matches the
+/// table's.
+#[test]
+fn every_protocol_method_follows_the_linear_scan() {
+    for kind in kinds() {
+        let table = table(kind);
+        let dense = AnyProtocol::build(kind);
+        assert_eq!(dense.name(), table.name, "{kind}: name");
+        assert_eq!(kind.to_string(), dense.name(), "{kind}: display name");
+        assert_eq!(dense.states(), table.states, "{kind}: states");
+        assert_eq!(dense.uses_bus_invalidate(), table.uses_bus_invalidate);
+        assert_eq!(dense.broadcasts_write_data(), table.broadcasts_write_data);
+        assert_eq!(dense.fill_depends_on_sharers(), table.has_guards());
+        let supplies = |state| {
+            table
+                .matching(Some(state), TableInput::Supply, true)
+                .is_some()
+        };
+
+        let domain = table.domain();
         assert!(domain.len() > 20, "{kind}: domain of {}", domain.len());
-        for &key in &domain {
-            for other_readable in [false, true] {
-                assert_eq!(
-                    decide(&dense, key, other_readable),
-                    decide(&linear, key, other_readable),
-                    "{kind}: {key} (other_readable={other_readable})"
-                );
-            }
-            if let TableInput::OwnComplete(intent) = key.input {
-                assert_eq!(
-                    dense.own_complete(key.state, intent),
-                    linear.own_complete(key.state, intent),
-                    "{kind}: own_complete {key}"
-                );
+        for key in domain.into_iter().map(|cell| cell.key) {
+            let held = || {
+                key.state
+                    .expect("snoop, supply and evict cells are for held lines")
+            };
+            match key.input {
+                TableInput::CpuRead | TableInput::CpuWrite => {
+                    let got = if key.input == TableInput::CpuRead {
+                        dense.cpu_read(key.state)
+                    } else {
+                        dense.cpu_write(key.state)
+                    };
+                    let want = match scan(&table, key, true) {
+                        Effect::Hit { next } => CpuOutcome::Hit { next },
+                        Effect::Issue { intent } => CpuOutcome::Miss { intent },
+                        other => panic!("{kind}: {key} → {other}"),
+                    };
+                    assert_eq!(got, want, "{kind}: {key}");
+                }
+                TableInput::OwnComplete(intent) => {
+                    for other_readable in [false, true] {
+                        assert_eq!(
+                            dense.own_complete_shared(key.state, intent, other_readable),
+                            next_state(scan(&table, key, other_readable)),
+                            "{kind}: {key} (other_readable={other_readable})"
+                        );
+                    }
+                    assert_eq!(
+                        dense.own_complete(key.state, intent),
+                        next_state(scan(&table, key, true)),
+                        "{kind}: own_complete {key}"
+                    );
+                }
+                TableInput::OwnLockedRead => assert_eq!(
+                    dense.own_locked_read_complete(key.state),
+                    next_state(scan(&table, key, true)),
+                    "{kind}: {key}"
+                ),
+                TableInput::OwnUnlockWrite => assert_eq!(
+                    dense.own_unlock_write_complete(key.state),
+                    next_state(scan(&table, key, true)),
+                    "{kind}: {key}"
+                ),
+                TableInput::Snoop(snoop) => {
+                    let Effect::Next { next, capture } = scan(&table, key, true) else {
+                        panic!("{kind}: {key} is not a transition");
+                    };
+                    let want = SnoopOutcome { next, capture };
+                    // A nonzero payload: a decision that read the word
+                    // would differ from the scan.
+                    let word = Word::new(0x5a5a);
+                    let event = match snoop {
+                        SnoopKind::Read => SnoopEvent::Read(word),
+                        SnoopKind::Write => SnoopEvent::Write(word),
+                        SnoopKind::Invalidate => SnoopEvent::Invalidate,
+                        SnoopKind::LockedRead => SnoopEvent::LockedRead(word),
+                        SnoopKind::UnlockWrite => SnoopEvent::UnlockWrite(word),
+                    };
+                    assert_eq!(dense.snoop(held(), event), want, "{kind}: {key}");
+                    // The before/after supply bits drive the machine's
+                    // owner index.
+                    let step = dense.snoop_step(held(), snoop);
+                    assert_eq!(step.outcome, want, "{kind}: {key}");
+                    assert_eq!(step.supplied, supplies(held()), "{kind}: {key} supplied");
+                    assert_eq!(step.supplies, supplies(next), "{kind}: {key} supplies");
+                }
+                TableInput::Supply => {
+                    assert_eq!(
+                        dense.supplies_on_snoop_read(held()),
+                        supplies(held()),
+                        "{kind}: {key}"
+                    );
+                    if supplies(held()) {
+                        assert_eq!(
+                            dense.after_supply(held()),
+                            next_state(scan(&table, key, true)),
+                            "{kind}: {key}"
+                        );
+                    }
+                }
+                TableInput::Evict => assert_eq!(
+                    Effect::Evict {
+                        writeback: dense.writeback_on_evict(held())
+                    },
+                    scan(&table, key, true),
+                    "{kind}: {key}"
+                ),
             }
         }
+    }
+}
 
-        // Supplier status, and the snoop step's before/after supply bits
-        // that drive the machine's owner index.
-        for state in dense.states() {
-            let supplies = linear.supplies_on_snoop_read(state);
-            assert_eq!(
-                dense.supplies_on_snoop_read(state),
-                supplies,
-                "{kind}: supplies_on_snoop_read({state})"
-            );
-            for snoop in SnoopKind::ALL {
-                let key = TransitionKey {
-                    state: Some(state),
-                    input: TableInput::Snoop(snoop),
-                };
-                if !domain.contains(&key) {
-                    continue;
-                }
-                let step = dense.snoop_step(state, snoop);
-                assert_eq!(
-                    step.outcome,
-                    linear.snoop(state, snoop.event()),
-                    "{kind}: {key}"
-                );
-                assert_eq!(step.supplied, supplies, "{kind}: {key} supplied");
-                assert_eq!(
-                    step.supplies,
-                    linear.supplies_on_snoop_read(step.outcome.next),
-                    "{kind}: {key} supplies"
+/// Every table is total over its domain: each required cell has a
+/// compiled effect of the right shape under both guard bits.
+#[test]
+fn every_required_cell_of_every_table_has_an_effect_under_both_guard_bits() {
+    for kind in kinds() {
+        let dense = AnyProtocol::build(kind);
+        for cell in dense.table().domain() {
+            let key = cell.key;
+            for other_readable in [false, true] {
+                let effect = dense.cell_effect(key.state, key.input, other_readable);
+                assert!(
+                    effect.is_some_and(|e| key.input.accepts(e)) || !cell.required,
+                    "{kind}: non-total handling of {key} (other_readable={other_readable}): {effect:?}"
                 );
             }
         }

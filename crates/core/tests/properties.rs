@@ -3,9 +3,8 @@
 //! stimulus. Exhaustive over protocols and states; randomized only over
 //! data values and snoop events.
 
-use decache_core::{
-    transition_table, BusIntent, CpuOutcome, LineState, Protocol, ProtocolKind, SnoopEvent,
-};
+use decache_core::ir::{Effect, SnoopKind, TableInput};
+use decache_core::{transition_table, CpuOutcome, LineState, Protocol, ProtocolKind, SnoopEvent};
 use decache_mem::Word;
 use decache_rng::{testing::check, Rng};
 
@@ -35,30 +34,24 @@ fn gen_snoop_event(rng: &mut Rng) -> SnoopEvent {
 }
 
 /// "A reference to an item not in the cache behaves exactly as if it
-/// were in the invalid state" (Section 3) — for every protocol.
+/// were in the invalid state" (Section 3) — for every protocol, every
+/// `NP` cell of its domain holds the `I` cell's effect, under both guard
+/// bits.
 #[test]
 fn not_present_is_equivalent_to_invalid() {
     for kind in PROTOCOLS {
         let p = kind.build();
-        assert_eq!(p.cpu_read(None), p.cpu_read(Some(LineState::Invalid)));
-        assert_eq!(p.cpu_write(None), p.cpu_write(Some(LineState::Invalid)));
-        for intent in [BusIntent::Read, BusIntent::Write] {
-            // Only compare intents the protocol can issue from Invalid.
-            let issued = match p.cpu_write(Some(LineState::Invalid)) {
-                CpuOutcome::Miss { intent } => Some(intent),
-                CpuOutcome::Hit { .. } => None,
-            };
-            if issued == Some(intent) || intent == BusIntent::Read {
-                assert_eq!(
-                    p.own_complete(None, intent),
-                    p.own_complete(Some(LineState::Invalid), intent)
-                );
+        for key in p.table().domain().into_iter().map(|cell| cell.key) {
+            if key.state.is_none() {
+                for other_readable in [false, true] {
+                    assert_eq!(
+                        p.cell_effect(None, key.input, other_readable),
+                        p.cell_effect(Some(LineState::Invalid), key.input, other_readable),
+                        "{kind}: {key} (other_readable={other_readable})"
+                    );
+                }
             }
         }
-        assert_eq!(
-            p.own_locked_read_complete(None),
-            p.own_locked_read_complete(Some(LineState::Invalid))
-        );
     }
 }
 
@@ -112,37 +105,28 @@ fn protocols_are_closed_over_their_state_sets() {
 
 /// A foreign invalidate or write never leaves a stale-readable window:
 /// afterwards the holder is either invalid or captured the new data.
+/// Exhaustive over each table's domain (decisions never read the word).
 #[test]
 fn foreign_writes_never_leave_stale_readable_copies() {
-    check(
-        "foreign_writes_never_leave_stale_readable_copies",
-        32,
-        |rng| {
-            let value = rng.next_u64();
-            for kind in PROTOCOLS {
-                let p = kind.build();
-                for &s in &p.states() {
-                    for event in [
-                        SnoopEvent::Write(Word::new(value)),
-                        SnoopEvent::UnlockWrite(Word::new(value)),
-                        SnoopEvent::Invalidate,
-                    ] {
-                        if event == SnoopEvent::Invalidate && !p.uses_bus_invalidate() {
-                            continue;
-                        }
-                        let out = p.snoop(s, event);
-                        let readable = out.next.is_readable_locally();
-                        assert!(
-                            !readable || out.capture,
-                            "{}: {s:?} x {event:?} -> readable {:?} without capture",
-                            p.name(),
-                            out.next
-                        );
-                    }
-                }
-            }
-        },
-    );
+    for kind in PROTOCOLS {
+        let p = kind.build();
+        for key in p.table().domain().into_iter().map(|cell| cell.key) {
+            let TableInput::Snoop(
+                SnoopKind::Write | SnoopKind::UnlockWrite | SnoopKind::Invalidate,
+            ) = key.input
+            else {
+                continue;
+            };
+            let Some(Effect::Next { next, capture }) = p.cell_effect(key.state, key.input, true)
+            else {
+                panic!("{kind}: {key} is not a transition");
+            };
+            assert!(
+                !next.is_readable_locally() || capture,
+                "{kind}: {key} -> readable {next} without capture"
+            );
+        }
+    }
 }
 
 /// Suppliers are exactly the states that own the latest value; only

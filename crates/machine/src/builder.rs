@@ -393,7 +393,7 @@ mod tests {
         assert_eq!(machine.pe_count(), 1);
         assert_eq!(machine.bus_count(), 1);
         assert_eq!(machine.memory().size(), 4096);
-        assert_eq!(machine.protocol().name(), "RB");
+        assert_eq!(machine.protocol().table().name, "RB");
     }
 
     #[test]

@@ -31,8 +31,7 @@
 use crate::sharers::AddrPeIndex;
 use crate::MachineStats;
 use decache_cache::{Entry, EntryMut, EvictedLine, Geometry, TagStore, TagStoreCheckpoint};
-use decache_core::introspect::{SnoopKind, TableInput};
-use decache_core::ir::Effect;
+use decache_core::ir::{Effect, SnoopKind, TableInput};
 use decache_core::{AnyProtocol, LineState, Protocol, SnoopEvent};
 use decache_mem::{Addr, Word};
 

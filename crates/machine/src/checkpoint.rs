@@ -405,6 +405,32 @@ pub enum RestoreError {
         /// The line's block address.
         addr: Addr,
     },
+    /// A PE status, a queued bus transaction or a last-issued address
+    /// names an address outside the machine's memory.
+    AddressOutsideMemory {
+        /// The checkpoint field holding the address: `statuses`,
+        /// `last_addr`, `queues.retry`, `queues.pending` or
+        /// `queues.in_flight`.
+        field: &'static str,
+        /// The entry's PE (`statuses`, `last_addr`) or bus (`queues.*`).
+        index: usize,
+        /// The offending address.
+        addr: Addr,
+    },
+    /// A queued bus transaction no run could have queued there: its
+    /// initiator is not a PE of the machine or is not attached to the
+    /// bus, or the bus does not serve its address.
+    MisroutedTransaction {
+        /// The queue lane: `queues.retry`, `queues.pending` or
+        /// `queues.in_flight`.
+        field: &'static str,
+        /// The bus whose queue holds the transaction.
+        bus: usize,
+        /// The initiator's index.
+        pe: usize,
+        /// The transaction's address.
+        addr: Addr,
+    },
     /// A component-level restore failed (tag store, queue, processor,
     /// histogram, ...). The machine's state is unspecified after this
     /// error; discard it.
@@ -443,6 +469,18 @@ impl fmt::Display for RestoreError {
             RestoreError::DetachedLine { pe, addr } => write!(
                 f,
                 "P{pe} cache holds {addr}, but P{pe} does not snoop the bus serving it"
+            ),
+            RestoreError::AddressOutsideMemory { field, index, addr } => {
+                write!(f, "{field}[{index}] names {addr}, outside memory")
+            }
+            RestoreError::MisroutedTransaction {
+                field,
+                bus,
+                pe,
+                addr,
+            } => write!(
+                f,
+                "{field}[{bus}] holds P{pe}'s transaction for {addr}, which P{pe} cannot post on bus {bus}"
             ),
             RestoreError::Component { what, detail } => {
                 write!(f, "restoring {what}: {detail}")
@@ -814,6 +852,53 @@ impl Machine {
                 if !self.routing.snoops(pe, addr, n) {
                     return Err(RestoreError::DetachedLine { pe, addr });
                 }
+            }
+        }
+        // The pending-read index and the wake schedule size themselves
+        // by these addresses, so each must lie in memory.
+        let in_memory = |field, index, addr: Addr| {
+            if addr.index() < self.memory.size() {
+                Ok(())
+            } else {
+                Err(RestoreError::AddressOutsideMemory { field, index, addr })
+            }
+        };
+        for (pe, status) in ck.statuses.iter().enumerate() {
+            if let StatusCheckpoint::WaitBus(pending) = *status {
+                in_memory("statuses", pe, rebuild_pending(pending).addr())?;
+            }
+        }
+        for (pe, addr) in ck.last_addr.iter().enumerate() {
+            if let Some(addr) = *addr {
+                in_memory("last_addr", pe, addr)?;
+            }
+        }
+        // Serving a transaction indexes per-PE state by its initiator,
+        // and a PE posts only on the bus serving the address, which it
+        // must snoop.
+        let queued = |field, bus, t: &BusTransaction| {
+            in_memory(field, bus, t.addr)?;
+            let (pe, addr) = (t.initiator.index(), t.addr);
+            if pe < n && self.routing.snoops(pe, addr, n) && self.routing.bus_of(addr) == bus {
+                Ok(())
+            } else {
+                Err(RestoreError::MisroutedTransaction {
+                    field,
+                    bus,
+                    pe,
+                    addr,
+                })
+            }
+        };
+        for (bus, queue) in ck.queues.iter().enumerate() {
+            for t in &queue.retry {
+                queued("queues.retry", bus, t)?;
+            }
+            for t in &queue.pending {
+                queued("queues.pending", bus, t)?;
+            }
+            for (t, _) in &queue.in_flight {
+                queued("queues.in_flight", bus, t)?;
             }
         }
         for (bus, arb) in ck.arbiters.iter().enumerate() {

@@ -220,7 +220,7 @@ impl Machine {
     }
 
     /// The coherence protocol in use.
-    pub fn protocol(&self) -> &dyn Protocol {
+    pub fn protocol(&self) -> &AnyProtocol {
         &self.protocol
     }
 

@@ -144,7 +144,7 @@ impl PerfettoTrace {
         events.push(meta(
             "process_name",
             0,
-            format!("decache {}", machine.protocol().name()),
+            format!("decache {}", machine.protocol().table().name),
         ));
         events.push(meta("thread_name", 0, "machine".to_owned()));
         for pe in 0..pes {
@@ -330,7 +330,10 @@ impl PerfettoTrace {
             (
                 "otherData",
                 Json::object(vec![
-                    ("protocol", Json::Str(machine.protocol().name().to_owned())),
+                    (
+                        "protocol",
+                        Json::Str(machine.protocol().table().name.clone()),
+                    ),
                     ("pes", Json::U64(pes as u64)),
                     ("buses", Json::U64(buses as u64)),
                     ("cycles", Json::U64(machine.cycles())),

@@ -743,7 +743,7 @@ impl MetricsSnapshot {
     pub fn from_machine(machine: &Machine) -> Self {
         let traffic = machine.traffic_per_bus();
         MetricsSnapshot {
-            protocol: machine.protocol().name().to_owned(),
+            protocol: machine.protocol().table().name.clone(),
             pes: machine.pe_count() as u64,
             buses: machine.bus_count() as u64,
             cycles: machine.cycles(),

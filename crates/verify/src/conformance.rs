@@ -371,7 +371,7 @@ pub struct Refinement {
 impl Refinement {
     /// Creates an oracle for `n` PEs under `kind`'s protocol tables.
     pub fn new(kind: ProtocolKind, n: usize) -> Self {
-        let allow_intermediate = decache_protocol_ir::allow_intermediate(kind);
+        let allow_intermediate = crate::static_check::allow_intermediate(kind);
         Self::from_table(kind.build(), allow_intermediate, n)
     }
 
@@ -455,19 +455,9 @@ impl Refinement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::static_check::ANALYZED_KINDS as KINDS;
     use decache_machine::{MachineBuilder, MemOp, Script};
     use decache_mem::Addr;
-
-    const KINDS: [ProtocolKind; 8] = [
-        ProtocolKind::Rb,
-        ProtocolKind::RbNoBroadcast,
-        ProtocolKind::Rwb,
-        ProtocolKind::RwbThreshold(1),
-        ProtocolKind::RwbThreshold(3),
-        ProtocolKind::WriteOnce,
-        ProtocolKind::WriteThrough,
-        ProtocolKind::Mesi,
-    ];
 
     fn sharing_machine(kind: ProtocolKind, oracle: &Refinement) -> decache_machine::Machine {
         let a = Addr::new(3);

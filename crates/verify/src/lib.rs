@@ -38,8 +38,8 @@
 //!   and non-total handling under exhaustive exploration at one `n`.
 //! * **Static analyzer gate** ([`static_check`]) — per-rule proofs of
 //!   totality, determinism, PE-symmetry, and invariant preservation
-//!   over **all** cache counts at once via
-//!   [`decache_protocol_ir`]'s counting abstraction; its dead rules are
+//!   over **all** cache counts at once via a counting abstraction of
+//!   the rule table ([`static_check::analyze`]); its dead rules are
 //!   a subset of the dynamic lint's (not the converse, so both run),
 //!   pinned by `static_baseline.txt` and gated in CI by the
 //!   `protocol_lint` binary.
@@ -59,6 +59,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod analyze;
 pub mod conformance;
 pub mod lint;
 mod monotonic;

@@ -3,10 +3,13 @@
 //!
 //! While the checker explores the per-address product machine, a
 //! [`Coverage`] recorder notes every `(state, input)` table cell the
-//! exploration exercises. Comparing that against the full table domain
-//! (from [`decache_core::introspect`]) yields a lint report: states the
-//! protocol declares but never reaches, table rows that exist but can
-//! never fire, and rows whose handling panics (non-total tables).
+//! exploration exercises. Comparing that against the table's transition
+//! domain ([`RuleTable::domain`], with each optional `supply` cell kept
+//! iff it has a rule) yields a lint report: states the protocol declares
+//! but never reaches, table rows that exist but can never fire, and rows
+//! whose compiled cell is empty or misshapen (non-total tables).
+//!
+//! [`RuleTable::domain`]: decache_core::ir::RuleTable::domain
 //!
 //! Dead rows are not bugs by themselves — e.g. RB's `L --snoop:BR`
 //! totality arm cannot fire because a legal configuration has at most
@@ -21,8 +24,8 @@
 //! imply this lint's fixed-`n` totality and unreachable-state findings,
 //! and the `protocol_check` gate still runs it over every table.
 
-use decache_core::introspect::{probe_outcome, transition_domain, TableInput, TransitionKey};
-use decache_core::{introspect::SnoopKind, LineState, Protocol};
+use decache_core::ir::{SnoopKind, TableInput, TransitionKey};
+use decache_core::{AnyProtocol, LineState, Protocol};
 use std::collections::BTreeSet;
 
 /// Records which transition-table cells fired during an exploration.
@@ -55,11 +58,6 @@ impl Coverage {
     pub fn state_reached(&self, state: LineState) -> bool {
         self.seen.contains(&state)
     }
-
-    /// The number of distinct cells that fired.
-    pub fn fired_count(&self) -> usize {
-        self.fired.len()
-    }
 }
 
 /// The dead-transition lint result for one protocol at one checker
@@ -78,7 +76,8 @@ pub struct LintReport {
     pub unreachable_states: Vec<LineState>,
     /// Domain cells that are handled (total) but never fire.
     pub dead: Vec<TransitionKey>,
-    /// Domain cells whose handling panics — non-total tables.
+    /// Domain cells with no rule, or a rule of the wrong shape —
+    /// non-total tables.
     pub non_total: Vec<TransitionKey>,
 }
 
@@ -88,34 +87,9 @@ impl LintReport {
         self.non_total.is_empty()
     }
 
-    /// The dead cells, rendered as stable baseline entries.
+    /// The dead cells, rendered as stable entries (`"L --snoop:BR"`).
     pub fn dead_rendered(&self) -> Vec<String> {
         self.dead.iter().map(ToString::to_string).collect()
-    }
-
-    /// This report's baseline line: `NAME: entry; entry; …`.
-    pub fn baseline_line(&self) -> String {
-        format!("{}: {}", self.protocol, self.dead_rendered().join("; "))
-    }
-
-    /// Dead entries in this report that the baseline does not expect —
-    /// the regressions a CI gate fails on.
-    pub fn new_dead_versus(&self, baseline: &[String]) -> Vec<String> {
-        self.dead_rendered()
-            .into_iter()
-            .filter(|e| !baseline.iter().any(|b| b == e))
-            .collect()
-    }
-
-    /// Baseline entries that are no longer dead — improvements worth a
-    /// baseline refresh, but not failures.
-    pub fn fixed_versus(&self, baseline: &[String]) -> Vec<String> {
-        let dead = self.dead_rendered();
-        baseline
-            .iter()
-            .filter(|b| !dead.iter().any(|e| e == *b))
-            .cloned()
-            .collect()
     }
 }
 
@@ -124,26 +98,31 @@ impl LintReport {
 /// checker actually generated, so disabled event families do not show
 /// up as dead.
 pub(crate) fn build_report(
-    protocol: &dyn Protocol,
+    protocol: &AnyProtocol,
     coverage: &Coverage,
     n: usize,
     evictions: bool,
     test_and_set: bool,
 ) -> LintReport {
-    let mut domain = transition_domain(protocol);
-    if !test_and_set {
-        domain.retain(|k| {
-            !matches!(
-                k.input,
-                TableInput::OwnLockedRead
-                    | TableInput::OwnUnlockWrite
-                    | TableInput::Snoop(SnoopKind::LockedRead | SnoopKind::UnlockWrite)
-            )
-        });
-    }
-    if !evictions {
-        domain.retain(|k| k.input != TableInput::Evict);
-    }
+    let effect = |key: TransitionKey| protocol.cell_effect(key.state, key.input, true);
+    let mut domain: Vec<TransitionKey> = protocol
+        .table()
+        .domain()
+        .into_iter()
+        .filter(|cell| cell.required || effect(cell.key).is_some())
+        .map(|cell| cell.key)
+        .filter(|key| {
+            test_and_set
+                || !matches!(
+                    key.input,
+                    TableInput::OwnLockedRead
+                        | TableInput::OwnUnlockWrite
+                        | TableInput::Snoop(SnoopKind::LockedRead | SnoopKind::UnlockWrite)
+                )
+        })
+        .filter(|key| evictions || key.input != TableInput::Evict)
+        .collect();
+    domain.sort();
 
     let mut dead = Vec::new();
     let mut non_total = Vec::new();
@@ -151,7 +130,7 @@ pub(crate) fn build_report(
     for &key in &domain {
         if coverage.has_fired(key.state, key.input) {
             fired += 1;
-        } else if probe_outcome(protocol, key).is_none() {
+        } else if !effect(key).is_some_and(|e| key.input.accepts(e)) {
             non_total.push(key);
         } else {
             dead.push(key);
@@ -177,19 +156,9 @@ pub(crate) fn build_report(
 #[cfg(test)]
 mod tests {
 
+    use crate::static_check::ANALYZED_KINDS as KINDS;
     use crate::ProductChecker;
     use decache_core::ProtocolKind;
-
-    /// The seven protocol variants the workspace checks everywhere.
-    const KINDS: [ProtocolKind; 7] = [
-        ProtocolKind::Rb,
-        ProtocolKind::RbNoBroadcast,
-        ProtocolKind::Rwb,
-        ProtocolKind::RwbThreshold(1),
-        ProtocolKind::RwbThreshold(3),
-        ProtocolKind::WriteOnce,
-        ProtocolKind::WriteThrough,
-    ];
 
     #[test]
     fn every_kind_is_total_and_reaches_all_states_at_the_canonical_config() {

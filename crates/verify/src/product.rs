@@ -2,12 +2,10 @@
 
 use crate::lint::{self, Coverage, LintReport};
 use crate::witness::{Invariant, Step, Witness, WitnessEvent};
-use decache_core::introspect::{SnoopKind, TableInput};
+use decache_core::ir::{SnoopKind, TableInput};
 use decache_core::{
     AnyProtocol, BusIntent, Configuration, CpuOutcome, LineState, Protocol, ProtocolKind,
-    SnoopEvent,
 };
-use decache_mem::Word;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 
@@ -239,7 +237,7 @@ impl ProductChecker {
     ///
     /// Panics if `n` is zero.
     pub fn new(kind: ProtocolKind, n: usize) -> Self {
-        let allow_intermediate = decache_protocol_ir::allow_intermediate(kind);
+        let allow_intermediate = crate::static_check::allow_intermediate(kind);
         Self::from_table(kind.build(), allow_intermediate, n)
     }
 
@@ -348,45 +346,29 @@ impl ProductChecker {
             cov.record(Some(st), TableInput::Supply);
             s.mem_latest = latest;
             s.cells[supplier] = Some((self.protocol.after_supply(st), latest));
-            // The substituted write is snooped by the other holders.
-            let probe = Word::ZERO;
-            for j in 0..self.n {
-                if j == supplier || j == initiator {
-                    continue;
-                }
-                if let Some((st, _)) = s.cells[j] {
-                    cov.record(Some(st), TableInput::Snoop(SnoopKind::Write));
-                    let out = self.protocol.snoop(st, SnoopEvent::Write(probe));
-                    // A capture copies the supplier's (latest) data.
-                    let now_latest = out.capture && latest;
-                    s.cells[j] = Some((out.next, now_latest));
-                }
-            }
+            // The substituted write is snooped by the other holders; a
+            // capture copies the supplier's (latest) data.
+            let kind = SnoopKind::Write;
+            self.snoop_holders(s, initiator, Some(supplier), kind, cov, |capture, _| {
+                capture && latest
+            });
         }
         let shared = (0..self.n)
             .any(|j| j != initiator && s.cells[j].is_some_and(|(st, _)| st.is_readable_locally()));
         // The (retried) read returns the memory value and broadcasts it.
-        let probe = Word::ZERO;
-        let (event, kind) = if locked {
-            (SnoopEvent::LockedRead(probe), SnoopKind::LockedRead)
+        let kind = if locked {
+            SnoopKind::LockedRead
         } else {
-            (SnoopEvent::Read(probe), SnoopKind::Read)
+            SnoopKind::Read
         };
-        for j in 0..self.n {
-            if j == initiator {
-                continue;
+        let served = s.mem_latest;
+        self.snoop_holders(s, initiator, None, kind, cov, |capture, was_latest| {
+            if capture {
+                served
+            } else {
+                was_latest
             }
-            if let Some((st, was_latest)) = s.cells[j] {
-                cov.record(Some(st), TableInput::Snoop(kind));
-                let out = self.protocol.snoop(st, event);
-                let now_latest = if out.capture {
-                    s.mem_latest
-                } else {
-                    was_latest
-                };
-                s.cells[j] = Some((out.next, now_latest));
-            }
-        }
+        });
         shared
     }
 
@@ -400,22 +382,33 @@ impl ProductChecker {
         cov: &mut Coverage,
     ) {
         s.mem_latest = true;
-        let probe = Word::ZERO;
-        let (event, kind) = if unlock {
-            (SnoopEvent::UnlockWrite(probe), SnoopKind::UnlockWrite)
+        let kind = if unlock {
+            SnoopKind::UnlockWrite
         } else {
-            (SnoopEvent::Write(probe), SnoopKind::Write)
+            SnoopKind::Write
         };
-        for j in 0..self.n {
-            if j == initiator {
-                continue;
-            }
-            if let Some((st, _)) = s.cells[j] {
+        // Whatever was cached is superseded; only captures of the new
+        // value are latest.
+        self.snoop_holders(s, initiator, None, kind, cov, |capture, _| capture);
+    }
+
+    /// Every holder but the initiator and the supplier (if any) snoops
+    /// `kind`; `latest` maps a snooper's capture bit and old latest bit
+    /// to its new latest bit.
+    fn snoop_holders(
+        &self,
+        s: &mut PState,
+        initiator: usize,
+        supplier: Option<usize>,
+        kind: SnoopKind,
+        cov: &mut Coverage,
+        latest: impl Fn(bool, bool) -> bool,
+    ) {
+        for j in (0..self.n).filter(|&j| j != initiator && Some(j) != supplier) {
+            if let Some((st, was_latest)) = s.cells[j] {
                 cov.record(Some(st), TableInput::Snoop(kind));
-                let out = self.protocol.snoop(st, event);
-                // Whatever was cached is superseded; only captures of the
-                // new value are latest.
-                s.cells[j] = Some((out.next, out.capture));
+                let out = self.protocol.snoop_step(st, kind).outcome;
+                s.cells[j] = Some((out.next, latest(out.capture, was_latest)));
             }
         }
     }
@@ -499,19 +492,8 @@ impl ProductChecker {
                             BusIntent::Invalidate => {
                                 // Event-only: memory keeps the OLD value.
                                 next.mem_latest = false;
-                                for j in 0..self.n {
-                                    if j == i {
-                                        continue;
-                                    }
-                                    if let Some((st, _)) = next.cells[j] {
-                                        cov.record(
-                                            Some(st),
-                                            TableInput::Snoop(SnoopKind::Invalidate),
-                                        );
-                                        let out = self.protocol.snoop(st, SnoopEvent::Invalidate);
-                                        next.cells[j] = Some((out.next, false));
-                                    }
-                                }
+                                let kind = SnoopKind::Invalidate;
+                                self.snoop_holders(&mut next, i, None, kind, cov, |_, _| false);
                                 cov.record(state_i, TableInput::OwnComplete(BusIntent::Invalidate));
                                 let to = self.protocol.own_complete(state_i, BusIntent::Invalidate);
                                 next.cells[i] = Some((to, true));

@@ -1,13 +1,12 @@
 //! The static protocol-analysis gate: per-rule proofs without
 //! state-space exploration over any fixed `n`.
 //!
-//! This module orchestrates [`decache_protocol_ir`]'s analyzer into the
-//! workspace's CI story. Where [`crate::ProductChecker`] explores the
+//! This module orchestrates the per-rule analyzer ([`analyze`]) into
+//! the workspace's CI story. Where [`crate::ProductChecker`] explores the
 //! exact product machine for `n ∈ {2, 3, 4}`, [`check_kind`] proves
 //! totality, determinism, PE-symmetry, and invariant preservation
 //! **for all n at once** from the protocol's rule table, via the
-//! counting-abstraction small-model argument (see
-//! [`decache_protocol_ir::analyze`]).
+//! counting-abstraction small-model argument (see [`analyze`]).
 //!
 //! Because the abstraction over-approximates reachability at every
 //! `n`, a statically dead rule is dead in every explored product
@@ -18,16 +17,17 @@
 //! `static_baseline.txt`; the `protocol_lint` binary fails CI on any
 //! deviation.
 
+pub use crate::analyze::{analyze, Analysis, CheckKind, Diagnostic};
+use decache_core::ir::kind_table;
 use decache_core::ProtocolKind;
-pub use decache_protocol_ir::{analyze, Analysis, CheckKind, Diagnostic};
 
 /// The committed statically-dead rule baseline. One line per protocol:
 /// `NAME: rule-id; rule-id; …`. Regenerate with
 /// `cargo run -p decache-bench --bin protocol_lint -- --print-baseline`.
 const STATIC_BASELINE: &str = include_str!("static_baseline.txt");
 
-/// Every protocol the static gate proves: the paper's seven schemes
-/// plus the table-defined MESI.
+/// Every protocol the static gate proves and the verifiers' tests
+/// check: the paper's seven schemes plus the table-defined MESI.
 pub const ANALYZED_KINDS: [ProtocolKind; 8] = [
     ProtocolKind::Rb,
     ProtocolKind::RbNoBroadcast,
@@ -39,11 +39,20 @@ pub const ANALYZED_KINDS: [ProtocolKind; 8] = [
     ProtocolKind::Mesi,
 ];
 
-/// Statically analyzes one protocol kind at its canonical legality
-/// class (the same `allow_intermediate` choice the product checker and
-/// conformance oracle use).
+/// Whether the analyzer, the product checker and the conformance
+/// oracle accept the *intermediate* configuration class for this
+/// protocol. RB proves the stronger shared-or-local lemma; everything
+/// with a first-write-style state (RWB's `F`, write-once's and MESI's
+/// exclusive-clean) needs intermediate.
+pub fn allow_intermediate(kind: ProtocolKind) -> bool {
+    !matches!(kind, ProtocolKind::Rb | ProtocolKind::RbNoBroadcast)
+}
+
+/// Statically analyzes the table the machine runs for one protocol kind
+/// ([`kind_table`]) at its canonical legality class
+/// ([`allow_intermediate`]).
 pub fn check_kind(kind: ProtocolKind) -> Analysis {
-    decache_protocol_ir::analyze_kind(kind)
+    analyze(&kind_table(kind), allow_intermediate(kind))
 }
 
 /// This analysis's baseline line: `NAME: rule-id; rule-id; …`.

@@ -7,8 +7,7 @@
 //! Each mutant is the paper's rule table with one decision edited, run
 //! through the same compiled executor as the healthy protocol.
 
-use decache_core::introspect::{SnoopKind, TableInput};
-use decache_core::ir::{hand_table, Effect, RuleTable};
+use decache_core::ir::{hand_table, Effect, RuleTable, SnoopKind, TableInput};
 use decache_core::{AnyProtocol, LineState, Protocol, ProtocolKind, SnoopEvent, SnoopOutcome};
 use decache_verify::{Invariant, ProductChecker, ProductReport};
 use LineState::{FirstWrite, Local, Readable};

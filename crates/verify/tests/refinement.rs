@@ -7,23 +7,11 @@
 //! Reproduce a failure with `DECACHE_TEST_SEED=<seed>`; widen the
 //! search with `DECACHE_TEST_CASES=<n>`.
 
-use decache_core::ProtocolKind;
 use decache_machine::{FaultPlan, MachineBuilder, RecoveryPolicy, Script};
 use decache_mem::{Addr, AddrRange, Word};
 use decache_rng::{testing::check, Rng};
+use decache_verify::static_check::ANALYZED_KINDS as KINDS;
 use decache_verify::Refinement;
-
-/// The eight protocol variants the workspace checks everywhere.
-const KINDS: [ProtocolKind; 8] = [
-    ProtocolKind::Rb,
-    ProtocolKind::RbNoBroadcast,
-    ProtocolKind::Rwb,
-    ProtocolKind::RwbThreshold(1),
-    ProtocolKind::RwbThreshold(3),
-    ProtocolKind::WriteOnce,
-    ProtocolKind::WriteThrough,
-    ProtocolKind::Mesi,
-];
 
 /// A random mix of reads, writes, and Test-and-Sets over a small hot
 /// address range (small enough that PEs genuinely collide).

@@ -23,7 +23,7 @@ fn main() {
             .build();
         machine.run_to_completion(10_000);
 
-        println!("{}:", machine.protocol().name());
+        println!("{}:", machine.protocol().table().name);
         println!("  snapshot after the write: {}", machine.snapshot(x));
         println!("  usable replicas: {}", machine.replica_count(x));
 

@@ -25,7 +25,7 @@ fn main() {
 
     println!(
         "ran {cycles} bus cycles under {}",
-        machine.protocol().name()
+        machine.protocol().table().name
     );
     println!("memory[flag] = {}", machine.memory().peek(flag).unwrap());
     println!("per-address snapshot: {}", machine.snapshot(flag));

@@ -175,7 +175,7 @@ fn main() -> ExitCode {
     let mut machine = builder.build();
     let cycles = machine.run_to_completion(10_000_000_000);
 
-    println!("protocol:      {}", machine.protocol().name());
+    println!("protocol:      {}", machine.protocol().table().name);
     println!("processors:    {}", machine.pe_count());
     println!("topology:      {}", machine.routing());
     println!("cycles:        {cycles}");

@@ -21,10 +21,10 @@ use decache::bus::ServiceDiscipline;
 use decache::cache::{AccessKind, RefClass};
 use decache::core::{LineState, ProtocolKind};
 use decache::machine::{
-    CheckpointError, FaultPlan, Machine, MachineBuilder, MachineCheckpoint, OpResult, Poll,
-    RestoreError, Script, CHECKPOINT_VERSION,
+    CheckpointError, FaultPlan, Machine, MachineBuilder, MachineCheckpoint, OpResult,
+    PendingCheckpoint, Poll, RestoreError, Script, StatusCheckpoint, CHECKPOINT_VERSION,
 };
-use decache::mem::{Addr, AddrRange, Word};
+use decache::mem::{Addr, AddrRange, PeId, Word};
 use decache::telemetry::{
     checkpoint_from_json, checkpoint_to_json, load_checkpoint, save_checkpoint, Json,
     MetricsSnapshot,
@@ -595,6 +595,54 @@ fn restore_validates_version_protocol_and_shape() {
         );
     }
 
+    // So is any address a PE status, a queue lane or a last-issued slot
+    // names outside memory: a P1 stalled on a read of @2^40 used to abort
+    // the process in the pending-read index. Step until a transaction is
+    // queued, so the lanes hold live entries.
+    let mut stalled = golden_machine(ProtocolKind::Rb);
+    let queued = (0..GOLDEN_CYCLES)
+        .map(|_| {
+            stalled.step();
+            stalled.checkpoint().expect("capture")
+        })
+        .find(|ck| !ck.queues[0].pending.is_empty())
+        .expect("the golden machine queues a transaction");
+    let far = Addr::new(1 << 40);
+    let mut status = queued.clone();
+    status.statuses[1] = StatusCheckpoint::WaitBus(PendingCheckpoint::Read {
+        addr: far,
+        class: RefClass::Shared,
+    });
+    let mut lane = queued.clone();
+    lane.queues[0].pending[0].addr = far;
+    let mut last = queued.clone();
+    last.last_addr[0] = Some(far);
+    for (bad, field, index) in [
+        (status, "statuses", 1),
+        (lane, "queues.pending", 0),
+        (last, "last_addr", 0),
+    ] {
+        let err = golden_machine(ProtocolKind::Rb)
+            .restore(&bad)
+            .expect_err("an address outside memory must be rejected");
+        assert_eq!(
+            err,
+            RestoreError::AddressOutsideMemory {
+                field,
+                index,
+                addr: far
+            }
+        );
+        assert!(
+            err.to_string()
+                .contains(&format!("{field}[{index}] names {far}, outside memory")),
+            "Display should name the field and the address: {err}"
+        );
+    }
+    golden_machine(ProtocolKind::Rb)
+        .restore(&queued)
+        .expect("the unedited stalled checkpoint restores");
+
     // On clustered routing, a held line on a cluster bus the PE does not
     // snoop is rejected: P0 (cluster 0) holding a word of cluster 1's
     // region, or one past the last cluster's region (memory 101, global
@@ -608,6 +656,65 @@ fn restore_validates_version_protocol_and_shape() {
             .processor(Script::new().read(Addr::new(66)).build())
             .build()
     };
+    // A queued transaction no run could have queued there is rejected:
+    // serving it would index per-PE state past the last PE, or reach a
+    // PE off the bus. Both PEs read the global region at once, so one
+    // read waits on bus 0; it is relabelled as P2's, moved to a cluster-1
+    // word but left on bus 0, or moved to cluster 1's bus as P0's.
+    let contended = || {
+        MachineBuilder::new(ProtocolKind::Rb)
+            .memory_words(101)
+            .cache_lines(16)
+            .clusters(2, 32)
+            .processor(Script::new().read(Addr::new(0)).build())
+            .processor(Script::new().read(Addr::new(1)).build())
+            .build()
+    };
+    let mut stalled = contended();
+    let queued = (0..GOLDEN_CYCLES)
+        .map(|_| {
+            stalled.step();
+            stalled.checkpoint().expect("capture")
+        })
+        .find(|ck| !ck.queues[0].pending.is_empty())
+        .expect("one of the two reads waits on the global bus");
+    contended()
+        .restore(&queued)
+        .expect("the unedited stalled checkpoint restores");
+    let misrouted = |bus: usize, pe, addr| {
+        let mut ck = queued.clone();
+        let mut t = ck.queues[0].pending.remove(0);
+        (t.initiator, t.addr) = (PeId::new(pe), addr);
+        ck.queues[bus].pending.push(t);
+        (ck, bus, usize::from(pe), addr)
+    };
+    let (global, cluster_1) = (queued.queues[0].pending[0].addr, Addr::new(66));
+    for (bad, bus, pe, addr) in [
+        misrouted(0, 2, global),
+        misrouted(0, 1, cluster_1),
+        misrouted(2, 0, cluster_1),
+    ] {
+        let err = contended()
+            .restore(&bad)
+            .expect_err("a misrouted transaction must be rejected");
+        let field = "queues.pending";
+        assert_eq!(
+            err,
+            RestoreError::MisroutedTransaction {
+                field,
+                bus,
+                pe,
+                addr
+            }
+        );
+        assert!(
+            err.to_string().contains(&format!(
+                "{field}[{bus}] holds P{pe}'s transaction for {addr}"
+            )),
+            "Display should name the lane, the initiator and the address: {err}"
+        );
+    }
+
     let mut machine = clustered();
     machine.run_to_completion(CAP);
     let ck = machine.checkpoint().expect("capture");
