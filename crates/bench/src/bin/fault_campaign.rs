@@ -33,7 +33,7 @@ use decache_core::ProtocolKind;
 use decache_machine::{FailStopPolicy, FaultPlan, Machine, MachineBuilder, Script};
 use decache_mem::{Addr, AddrRange, Word};
 use decache_rng::Rng;
-use decache_telemetry::{Json, MetricsSnapshot};
+use decache_telemetry::{json_record, Absent, FromJson, MetricsSnapshot, ToJson};
 use decache_verify::Refinement;
 
 /// The seven protocol variants, in the workspace's canonical order.
@@ -148,7 +148,7 @@ fn campaign_run(kind: ProtocolKind, rate: f64, seed: u64, budget: u64) -> Option
 }
 
 /// Aggregated recovery statistics for one (protocol, rate) cell.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct Cell {
     injected: u64,
     detected: u64,
@@ -160,6 +160,18 @@ struct Cell {
     latency_total: u64,
     latency_samples: u64,
 }
+
+json_record!(Cell {
+    injected,
+    detected,
+    owner,
+    majority,
+    failed,
+    heals,
+    lost_writes,
+    latency_total,
+    latency_samples,
+});
 
 impl Cell {
     fn attempts(&self) -> u64 {
@@ -188,17 +200,7 @@ fn sweep_cell(
     runs: u64,
     budget: u64,
 ) -> Option<(Cell, MetricsSnapshot)> {
-    let mut cell = Cell {
-        injected: 0,
-        detected: 0,
-        owner: 0,
-        majority: 0,
-        failed: 0,
-        heals: 0,
-        lost_writes: 0,
-        latency_total: 0,
-        latency_samples: 0,
-    };
+    let mut cell = Cell::default();
     let mut merged: Option<MetricsSnapshot> = None;
     for run in 0..runs {
         // Seeds depend only on (rate, run), so every protocol sees the
@@ -233,52 +235,12 @@ fn sweep_cell(
 /// The stored form of a completed cell: the derived counters plus the
 /// merged snapshot, both raw integers, so a resumed campaign prints
 /// exactly what the uninterrupted campaign prints.
-fn encode_cell(cell: &Cell, merged: &MetricsSnapshot) -> Json {
-    Json::object(vec![
-        (
-            "cell",
-            Json::object(vec![
-                ("injected", Json::U64(cell.injected)),
-                ("detected", Json::U64(cell.detected)),
-                ("owner", Json::U64(cell.owner)),
-                ("majority", Json::U64(cell.majority)),
-                ("failed", Json::U64(cell.failed)),
-                ("heals", Json::U64(cell.heals)),
-                ("lost_writes", Json::U64(cell.lost_writes)),
-                ("latency_total", Json::U64(cell.latency_total)),
-                ("latency_samples", Json::U64(cell.latency_samples)),
-            ]),
-        ),
-        ("snapshot", merged.to_json()),
-    ])
+struct Stored {
+    cell: Cell,
+    snapshot: MetricsSnapshot,
 }
 
-fn decode_cell(json: &Json) -> Result<(Cell, MetricsSnapshot), String> {
-    let raw = json
-        .get("cell")
-        .ok_or_else(|| "missing 'cell'".to_string())?;
-    let uint = |key: &str| {
-        raw.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("missing counter '{key}'"))
-    };
-    let cell = Cell {
-        injected: uint("injected")?,
-        detected: uint("detected")?,
-        owner: uint("owner")?,
-        majority: uint("majority")?,
-        failed: uint("failed")?,
-        heals: uint("heals")?,
-        lost_writes: uint("lost_writes")?,
-        latency_total: uint("latency_total")?,
-        latency_samples: uint("latency_samples")?,
-    };
-    let snapshot = MetricsSnapshot::from_json(
-        json.get("snapshot")
-            .ok_or_else(|| "missing 'snapshot'".to_string())?,
-    )?;
-    Ok((cell, snapshot))
-}
+json_record!(Stored { cell, snapshot });
 
 /// Fail-stop scenario: P0 writes `x` twice (the second write is silent
 /// under the write-back protocols, so the owned 9 may exist only in
@@ -340,14 +302,15 @@ fn main() {
     let outcomes = par::supervise(&cases, &supervisor, |&(kind, rate), budget| {
         let key = format!("fault_campaign_{kind}_rate_{rate}");
         if let Some(stored) = campaign.load(&key) {
-            match decode_cell(&stored) {
-                Ok(result) => return Some(result),
+            match Stored::from_json(&stored, Absent::Zero) {
+                Ok(Stored { cell, snapshot }) => return Some((cell, snapshot)),
                 Err(e) => eprintln!("checkpoint for {key} ignored: {e}"),
             }
         }
-        let (cell, merged) = sweep_cell(kind, rate, runs, budget)?;
-        campaign.store(&key, &encode_cell(&cell, &merged));
-        Some((cell, merged))
+        let (cell, snapshot) = sweep_cell(kind, rate, runs, budget)?;
+        let stored = Stored { cell, snapshot };
+        campaign.store(&key, &stored.to_json());
+        Some((stored.cell, stored.snapshot))
     });
     let mut quarantined = Vec::new();
     let mut cells = Vec::new();

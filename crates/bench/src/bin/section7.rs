@@ -24,20 +24,27 @@ use decache_bench::{banner, par, record_metrics, Campaign};
 use decache_core::ProtocolKind;
 use decache_machine::{Machine, MachineBuilder};
 use decache_mem::{Addr, AddrRange};
-use decache_telemetry::Json;
+use decache_telemetry::{json_record, Absent, FromJson, ToJson};
 use decache_workloads::{MixConfig, MixWorkload};
 
 const OPS_PER_PE: u64 = 500;
 
+/// One case's measured results, and the stored form of a completed
+/// case: raw result scalars only (the case identity lives in the file
+/// name and is re-derived from the case list on resume).
 struct Row {
-    kind: ProtocolKind,
-    pes: usize,
-    buses: usize,
     cycles: u64,
     miss_ratio: f64,
     utilization: f64,
     busiest_share: f64,
 }
+
+json_record!(Row {
+    cycles,
+    miss_ratio,
+    utilization,
+    busiest_share,
+});
 
 fn run_case(kind: ProtocolKind, pes: usize, buses: usize) -> Row {
     let shared = AddrRange::with_len(Addr::new(0), 64);
@@ -59,46 +66,11 @@ fn run_case(kind: ProtocolKind, pes: usize, buses: usize) -> Row {
     let mut machine = builder.build();
     let cycles = machine.run_to_completion(1_000_000_000);
     Row {
-        kind,
-        pes,
-        buses,
         cycles,
         miss_ratio: 1.0 - machine.total_cache_stats().hit_ratio(),
         utilization: mean_utilization(&machine),
         busiest_share: busiest_share(&machine),
     }
-}
-
-/// The stored form of a completed case: raw result scalars only (the
-/// case identity lives in the file name and is re-derived from the
-/// case list on resume).
-fn encode_row(r: &Row) -> Json {
-    Json::object(vec![
-        ("cycles", Json::U64(r.cycles)),
-        ("miss_ratio", Json::F64(r.miss_ratio)),
-        ("utilization", Json::F64(r.utilization)),
-        ("busiest_share", Json::F64(r.busiest_share)),
-    ])
-}
-
-fn decode_row(kind: ProtocolKind, pes: usize, buses: usize, json: &Json) -> Result<Row, String> {
-    let float = |key: &str| {
-        json.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("missing float '{key}'"))
-    };
-    Ok(Row {
-        kind,
-        pes,
-        buses,
-        cycles: json
-            .get("cycles")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| "missing 'cycles'".to_string())?,
-        miss_ratio: float("miss_ratio")?,
-        utilization: float("utilization")?,
-        busiest_share: float("busiest_share")?,
-    })
 }
 
 fn mean_utilization(machine: &Machine) -> f64 {
@@ -138,9 +110,9 @@ fn main() {
     let rows = par::run_cases(&cases, |&(kind, pes, buses)| {
         campaign.case(
             &format!("section7_{kind}_{pes}pe_{buses}bus"),
-            |json| decode_row(kind, pes, buses, json),
+            |json| Ok(Row::from_json(json, Absent::Required)?),
             || run_case(kind, pes, buses),
-            encode_row,
+            Row::to_json,
         )
     });
 
@@ -154,14 +126,14 @@ fn main() {
         "mean util",
         "busiest bus",
     ]);
-    for r in &rows {
+    for (&(kind, pes, buses), r) in cases.iter().zip(&rows) {
         // The paper's bandwidth demand in bus-equivalents: m * (1/h)
         // (x = 1 access per PE-cycle).
-        let demand = r.pes as f64 * r.miss_ratio;
+        let demand = pes as f64 * r.miss_ratio;
         table.row(vec![
-            r.kind.to_string(),
-            r.pes.to_string(),
-            r.buses.to_string(),
+            kind.to_string(),
+            pes.to_string(),
+            buses.to_string(),
             r.cycles.to_string(),
             format!("{:.1}%", r.miss_ratio * 100.0),
             format!("{demand:.1}"),
@@ -169,7 +141,7 @@ fn main() {
             format!("{:.1}%", r.busiest_share * 100.0),
         ]);
         record_metrics(
-            &format!("section7/{}/{}pe/{}bus", r.kind, r.pes, r.buses),
+            &format!("section7/{kind}/{pes}pe/{buses}bus"),
             &[
                 ("cycles", r.cycles as f64),
                 ("miss_ratio", r.miss_ratio),
@@ -181,42 +153,33 @@ fn main() {
     }
     println!("{table}");
 
-    for pair in rows.chunks(2) {
+    for (pair, case) in rows.chunks(2).zip(cases.chunks(2)) {
         let (single, multi) = (&pair[0], &pair[1]);
-        let demand = single.pes as f64 * single.miss_ratio;
+        let (kind, pes, _) = case[0];
+        let demand = pes as f64 * single.miss_ratio;
         assert!(
             demand > 1.0,
-            "{} at {} PEs: the machine must demand more than one bus (got {demand:.2})",
-            single.kind,
-            single.pes
+            "{kind} at {pes} PEs: the machine must demand more than one bus (got {demand:.2})"
         );
         assert!(
             single.utilization > 0.95,
-            "{} at {} PEs: the single bus should saturate (utilization {:.3})",
-            single.kind,
-            single.pes,
+            "{kind} at {pes} PEs: the single bus should saturate (utilization {:.3})",
             single.utilization
         );
         assert!(
             multi.cycles < single.cycles / 2,
-            "{} at {} PEs: 16 buses should relieve the bottleneck ({} -> {} cycles)",
-            single.kind,
-            single.pes,
+            "{kind} at {pes} PEs: 16 buses should relieve the bottleneck ({} -> {} cycles)",
             single.cycles,
             multi.cycles
         );
         assert!(
             multi.busiest_share < 0.25,
-            "{} at {} PEs: interleaving should spread traffic (busiest {:.1}%)",
-            single.kind,
-            single.pes,
+            "{kind} at {pes} PEs: interleaving should spread traffic (busiest {:.1}%)",
             multi.busiest_share * 100.0
         );
         println!(
-            "{} at {} PEs: demand {demand:.1} bus-equivalents; 1 bus -> {} cycles at {:.1}% \
-             util, 16 buses -> {} cycles (busiest {:.1}%)",
-            single.kind,
-            single.pes,
+            "{kind} at {pes} PEs: demand {demand:.1} bus-equivalents; 1 bus -> {} cycles at \
+             {:.1}% util, 16 buses -> {} cycles (busiest {:.1}%)",
             single.cycles,
             single.utilization * 100.0,
             multi.cycles,

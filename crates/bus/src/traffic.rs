@@ -22,7 +22,8 @@ use std::ops::{Add, AddAssign};
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficStats {
-    counts: [u64; 5],
+    /// Completed transactions per kind, in [`BusOpKind::ALL`] order.
+    pub counts: [u64; 5],
     /// Bus reads killed by an `L`-state snooper and replaced by its write.
     pub aborted_reads: u64,
     /// Transactions re-run from the retry lane.
@@ -121,33 +122,6 @@ impl TrafficStats {
     /// writes).
     pub fn total_writes(&self) -> u64 {
         self.count(BusOpKind::Write) + self.count(BusOpKind::WriteWithUnlock)
-    }
-
-    /// Exports the per-kind transaction counts in [`BusOpKind::ALL`]
-    /// order — the checkpoint form (the four public counters are
-    /// directly accessible).
-    pub fn checkpoint_counts(&self) -> [u64; 5] {
-        self.counts
-    }
-
-    /// Reconstructs counters from a [`TrafficStats::checkpoint_counts`]
-    /// export plus the five public counters.
-    pub fn from_checkpoint(
-        counts: [u64; 5],
-        aborted_reads: u64,
-        retries: u64,
-        busy_cycles: u64,
-        idle_cycles: u64,
-        address_phases: u64,
-    ) -> Self {
-        TrafficStats {
-            counts,
-            aborted_reads,
-            retries,
-            busy_cycles,
-            idle_cycles,
-            address_phases,
-        }
     }
 
     /// The fraction of cycles the bus was busy, in `[0, 1]`; zero if no

@@ -274,10 +274,11 @@ fn rwb(k: u8) -> RuleTable {
 
     t.own_all(&all, TableInput::OwnComplete(BusIntent::Read), Readable);
     // A completed broadcast write advances the uninterrupted-write
-    // streak; BI confirms locality.
+    // streak (at k = 1 locality is immediate); BI confirms locality.
     for &from in &all {
         let next = match from {
             Some(FirstWrite(c)) => FirstWrite((c + 1).min(k - 1)),
+            _ if k == 1 => Local,
             _ => FirstWrite(1),
         };
         t.rule(

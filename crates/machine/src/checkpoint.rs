@@ -22,7 +22,11 @@
 //!
 //! The checkpoint struct is plain public data so the `decache-telemetry`
 //! crate can serialize it through the workspace's canonical JSON codec
-//! without this crate growing a serializer dependency.
+//! without this crate growing a serializer dependency. Where the
+//! engine's own state is plain data — PE statuses and pending
+//! transactions, queue lanes, traffic, machine and fault counters — the
+//! checkpoint holds those very types, so nothing here copies their
+//! fields one by one.
 
 use super::Machine;
 use crate::processor::ProcessorCheckpoint;
@@ -30,7 +34,7 @@ use crate::sharers::PeMask;
 use crate::status::{PeStatus, Pending};
 use crate::telemetry::{CycleHistograms, Histogram};
 use crate::{FaultStats, MachineStats, OpResult};
-use decache_bus::{ArbiterCheckpoint, BusTransaction, QueueState, TrafficStats};
+use decache_bus::{ArbiterCheckpoint, BusQueue, BusTransaction, QueueState, TrafficStats};
 use decache_cache::{CacheStats, RefClass, TagStoreCheckpoint};
 use decache_core::{LineState, Protocol};
 use decache_mem::{Addr, MemoryStats, PeId, Word};
@@ -41,30 +45,6 @@ use std::fmt;
 /// The checkpoint format version; bumped on any layout change so stale
 /// files are rejected with a structured error instead of misread.
 pub const CHECKPOINT_VERSION: u32 = 2;
-
-/// The canonical field order of [`MachineCheckpoint::fault_stats`]:
-/// `fault_stats[i]` is the counter named `FAULT_STAT_FIELDS[i]`. Kept
-/// as a flat array because [`FaultStats`] is `#[non_exhaustive]` and
-/// so cannot be constructed outside this crate.
-pub const FAULT_STAT_FIELDS: [&str; 17] = [
-    "memory_faults_injected",
-    "cache_faults_injected",
-    "bus_transactions_lost",
-    "pe_fail_stops",
-    "memory_faults_detected",
-    "cache_faults_detected",
-    "memory_recoveries_owner",
-    "memory_recoveries_majority",
-    "memory_recoveries_failed",
-    "cache_refetches",
-    "broadcast_heals",
-    "lost_writes",
-    "drained_lines",
-    "forced_unlocks",
-    "recovery_latency_total",
-    "recovery_latency_samples",
-    "replicas_at_recovery",
-];
 
 /// The shared memory's state: words, locks, parity marks, counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,8 +68,8 @@ pub struct CacheStatsCheckpoint {
     pub misses: [[u64; 3]; 2],
 }
 
-/// A stalled PE's pending bus transaction, in public form (the
-/// machine-internal `Pending` is crate-private).
+/// What a stalled processing element is waiting for: its pending bus
+/// transaction. The machine runs on this type itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PendingCheckpoint {
     /// A bus read for a CPU read miss.
@@ -99,7 +79,9 @@ pub enum PendingCheckpoint {
         /// The reference class of the access.
         class: RefClass,
     },
-    /// A bus write or invalidate for a CPU write miss.
+    /// A bus write (or bus invalidate) for a CPU write miss; carries the
+    /// CPU value so the bus-invalidate path (which has no data payload)
+    /// can install it locally on completion.
     Write {
         /// The written address.
         addr: Addr,
@@ -128,52 +110,20 @@ pub enum PendingCheckpoint {
     },
 }
 
-/// One PE's execution status, in public form.
+/// The execution status of one processing element. The machine runs
+/// on this type itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StatusCheckpoint {
-    /// Ready to issue.
+    /// Ready to issue its next operation.
     Idle,
     /// Stalled on a bus transaction.
     WaitBus(PendingCheckpoint),
-    /// Program finished.
+    /// The processor's program has finished.
     Done,
-    /// Fail-stopped.
+    /// The PE fail-stopped: its cache is dark, its pending work was
+    /// cancelled, and it never issues again. Counts as finished for
+    /// completion purposes — the surviving PEs run on.
     Failed,
-}
-
-/// Every lane of one bus queue. The discipline-specific lanes
-/// (`arrival`, `batch`, `in_flight`) are empty unless the machine runs
-/// the matching [`ServiceDiscipline`](decache_bus::ServiceDiscipline).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct QueueCheckpoint {
-    /// The priority retry lane, in FIFO order.
-    pub retry: Vec<BusTransaction>,
-    /// The pending lane, in ascending PE order.
-    pub pending: Vec<BusTransaction>,
-    /// FCFS request-arrival order over the pending lane's PEs.
-    pub arrival: Vec<PeId>,
-    /// The unserved remainder of the current batch, in service order.
-    pub batch: Vec<PeId>,
-    /// Split-transaction address phases awaiting their data phase, as
-    /// `(transaction, ready_cycle)` in ascending ready order.
-    pub in_flight: Vec<(BusTransaction, u64)>,
-}
-
-/// One bus's traffic counters in raw form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TrafficCheckpoint {
-    /// Per-kind transaction counts in `BusOpKind::ALL` order.
-    pub counts: [u64; 5],
-    /// Interrupted (killed) bus reads.
-    pub aborted_reads: u64,
-    /// Retry-lane services.
-    pub retries: u64,
-    /// Busy bus cycles.
-    pub busy_cycles: u64,
-    /// Idle bus cycles.
-    pub idle_cycles: u64,
-    /// Split-transaction address phases.
-    pub address_phases: u64,
 }
 
 /// The fault engine's mutable state. The plan itself (rates, schedule,
@@ -258,7 +208,8 @@ pub struct TelemetryCheckpoint {
 /// A versioned, self-describing export of a [`Machine`]'s complete
 /// run state. Produce with [`Machine::checkpoint`], re-apply with
 /// [`Machine::restore`]; serialize through
-/// `decache-telemetry`'s checkpoint codec.
+/// `decache-telemetry`'s checkpoint codec, which states each record's
+/// fields once and names the field path of any decode error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MachineCheckpoint {
     /// Format version ([`CHECKPOINT_VERSION`]).
@@ -297,20 +248,23 @@ pub struct MachineCheckpoint {
     pub last_results: Vec<Option<OpResult>>,
     /// Every PE's program position.
     pub processors: Vec<ProcessorCheckpoint>,
-    /// Every bus queue's two lanes.
-    pub queues: Vec<QueueCheckpoint>,
+    /// Every bus queue's lanes. The discipline-specific lanes
+    /// (`arrival`, `batch`, `in_flight`) are empty unless the machine
+    /// runs the matching
+    /// [`ServiceDiscipline`](decache_bus::ServiceDiscipline).
+    pub queues: Vec<QueueState>,
     /// Every bus arbiter's fairness state.
     pub arbiters: Vec<ArbiterCheckpoint>,
     /// Every bus's traffic counters.
-    pub traffic: Vec<TrafficCheckpoint>,
+    pub traffic: Vec<TrafficStats>,
     /// Per-bus cycle until which the bus is still occupied.
     pub bus_free_at: Vec<u64>,
     /// Machine-level counters.
     pub stats: MachineStats,
     /// The fault engine's state; `None` when the machine has no plan.
     pub fault: Option<FaultEngineCheckpoint>,
-    /// Fault counters in [`FAULT_STAT_FIELDS`] order.
-    pub fault_stats: [u64; 17],
+    /// Fault-injection and recovery counters.
+    pub fault_stats: FaultStats,
     /// The detection-latency ledger, sorted by `(pe, addr)`.
     pub fault_clock: Vec<FaultClockEntry>,
     /// Per-PE cycle of the most recent completed operation.
@@ -524,88 +478,6 @@ fn check_rng(what: &str, state: [u64; 4]) -> Result<(), RestoreError> {
     }
 }
 
-fn capture_pending(p: Pending) -> PendingCheckpoint {
-    match p {
-        Pending::Read { addr, class } => PendingCheckpoint::Read { addr, class },
-        Pending::Write { addr, value, class } => PendingCheckpoint::Write { addr, value, class },
-        Pending::LockedRead {
-            addr,
-            set_to,
-            class,
-        } => PendingCheckpoint::LockedRead {
-            addr,
-            set_to,
-            class,
-        },
-        Pending::UnlockWrite { addr, old, class } => {
-            PendingCheckpoint::UnlockWrite { addr, old, class }
-        }
-    }
-}
-
-fn rebuild_pending(p: PendingCheckpoint) -> Pending {
-    match p {
-        PendingCheckpoint::Read { addr, class } => Pending::Read { addr, class },
-        PendingCheckpoint::Write { addr, value, class } => Pending::Write { addr, value, class },
-        PendingCheckpoint::LockedRead {
-            addr,
-            set_to,
-            class,
-        } => Pending::LockedRead {
-            addr,
-            set_to,
-            class,
-        },
-        PendingCheckpoint::UnlockWrite { addr, old, class } => {
-            Pending::UnlockWrite { addr, old, class }
-        }
-    }
-}
-
-fn capture_fault_stats(s: &FaultStats) -> [u64; 17] {
-    [
-        s.memory_faults_injected,
-        s.cache_faults_injected,
-        s.bus_transactions_lost,
-        s.pe_fail_stops,
-        s.memory_faults_detected,
-        s.cache_faults_detected,
-        s.memory_recoveries_owner,
-        s.memory_recoveries_majority,
-        s.memory_recoveries_failed,
-        s.cache_refetches,
-        s.broadcast_heals,
-        s.lost_writes,
-        s.drained_lines,
-        s.forced_unlocks,
-        s.recovery_latency_total,
-        s.recovery_latency_samples,
-        s.replicas_at_recovery,
-    ]
-}
-
-fn rebuild_fault_stats(v: [u64; 17]) -> FaultStats {
-    FaultStats {
-        memory_faults_injected: v[0],
-        cache_faults_injected: v[1],
-        bus_transactions_lost: v[2],
-        pe_fail_stops: v[3],
-        memory_faults_detected: v[4],
-        cache_faults_detected: v[5],
-        memory_recoveries_owner: v[6],
-        memory_recoveries_majority: v[7],
-        memory_recoveries_failed: v[8],
-        cache_refetches: v[9],
-        broadcast_heals: v[10],
-        lost_writes: v[11],
-        drained_lines: v[12],
-        forced_unlocks: v[13],
-        recovery_latency_total: v[14],
-        recovery_latency_samples: v[15],
-        replicas_at_recovery: v[16],
-    }
-}
-
 impl Machine {
     /// Exports the machine's complete run state as a versioned
     /// [`MachineCheckpoint`].
@@ -675,46 +547,12 @@ impl Machine {
                     CacheStatsCheckpoint { hits, misses }
                 })
                 .collect(),
-            statuses: self
-                .statuses
-                .iter()
-                .map(|s| match *s {
-                    PeStatus::Idle => StatusCheckpoint::Idle,
-                    PeStatus::WaitBus(p) => StatusCheckpoint::WaitBus(capture_pending(p)),
-                    PeStatus::Done => StatusCheckpoint::Done,
-                    PeStatus::Failed => StatusCheckpoint::Failed,
-                })
-                .collect(),
+            statuses: self.statuses.clone(),
             last_results: self.last_results.clone(),
             processors,
-            queues: self
-                .queues
-                .iter()
-                .map(|q| {
-                    let s = q.checkpoint_state();
-                    QueueCheckpoint {
-                        retry: s.retry,
-                        pending: s.pending,
-                        arrival: s.arrival,
-                        batch: s.batch,
-                        in_flight: s.in_flight,
-                    }
-                })
-                .collect(),
+            queues: self.queues.iter().map(BusQueue::checkpoint_state).collect(),
             arbiters,
-            traffic: (0..buses)
-                .map(|b| {
-                    let t = self.traffic.bus(b);
-                    TrafficCheckpoint {
-                        counts: t.checkpoint_counts(),
-                        aborted_reads: t.aborted_reads,
-                        retries: t.retries,
-                        busy_cycles: t.busy_cycles,
-                        idle_cycles: t.idle_cycles,
-                        address_phases: t.address_phases,
-                    }
-                })
-                .collect(),
+            traffic: (0..buses).map(|b| *self.traffic.bus(b)).collect(),
             bus_free_at: self.bus_free_at.clone(),
             stats: self.stats,
             fault: self.faults.as_ref().map(|e| FaultEngineCheckpoint {
@@ -722,7 +560,7 @@ impl Machine {
                 cursor: e.cursor as u64,
                 lose_grant: e.lose_grant.clone(),
             }),
-            fault_stats: capture_fault_stats(&self.fault_stats),
+            fault_stats: self.fault_stats,
             fault_clock,
             last_progress: self.last_progress.clone(),
             last_addr: self.last_addr.clone(),
@@ -865,7 +703,7 @@ impl Machine {
         };
         for (pe, status) in ck.statuses.iter().enumerate() {
             if let StatusCheckpoint::WaitBus(pending) = *status {
-                in_memory("statuses", pe, rebuild_pending(pending).addr())?;
+                in_memory("statuses", pe, pending.addr())?;
             }
         }
         for (pe, addr) in ck.last_addr.iter().enumerate() {
@@ -946,40 +784,20 @@ impl Machine {
             self.processors[pe]
                 .restore_state(&ck.processors[pe])
                 .map_err(|e| component(format!("P{pe} processor"), e))?;
-            self.statuses[pe] = match ck.statuses[pe] {
-                StatusCheckpoint::Idle => PeStatus::Idle,
-                StatusCheckpoint::WaitBus(p) => PeStatus::WaitBus(rebuild_pending(p)),
-                StatusCheckpoint::Done => PeStatus::Done,
-                StatusCheckpoint::Failed => PeStatus::Failed,
-            };
+            self.statuses[pe] = ck.statuses[pe];
         }
         self.last_results.clone_from(&ck.last_results);
         self.last_progress.clone_from(&ck.last_progress);
         self.last_addr.clone_from(&ck.last_addr);
 
         for bus in 0..buses {
-            let q = &ck.queues[bus];
             self.queues[bus]
-                .restore_state(QueueState {
-                    retry: q.retry.clone(),
-                    pending: q.pending.clone(),
-                    arrival: q.arrival.clone(),
-                    batch: q.batch.clone(),
-                    in_flight: q.in_flight.clone(),
-                })
+                .restore_state(ck.queues[bus].clone())
                 .map_err(|e| component(format!("bus {bus} queue"), e))?;
             self.arbiters[bus]
                 .restore_state(&ck.arbiters[bus])
                 .map_err(|e| component(format!("bus {bus} arbiter"), e))?;
-            let t = ck.traffic[bus];
-            *self.traffic.bus_mut(bus) = TrafficStats::from_checkpoint(
-                t.counts,
-                t.aborted_reads,
-                t.retries,
-                t.busy_cycles,
-                t.idle_cycles,
-                t.address_phases,
-            );
+            *self.traffic.bus_mut(bus) = ck.traffic[bus];
         }
         self.bus_free_at.clone_from(&ck.bus_free_at);
         self.stats = ck.stats;
@@ -990,7 +808,7 @@ impl Machine {
             engine.cursor = f.cursor as usize;
             engine.lose_grant.clone_from(&f.lose_grant);
         }
-        self.fault_stats = rebuild_fault_stats(ck.fault_stats);
+        self.fault_stats = ck.fault_stats;
         self.fault_clock = ck
             .fault_clock
             .iter()

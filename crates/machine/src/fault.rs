@@ -387,7 +387,6 @@ impl FaultEngine {
 ///
 /// Read via [`Machine::fault_stats`](crate::Machine::fault_stats).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[non_exhaustive]
 pub struct FaultStats {
     /// Memory word flips injected.
     pub memory_faults_injected: u64,

@@ -63,9 +63,8 @@ pub use fault::{
 };
 pub use machine::checkpoint::{
     CacheStatsCheckpoint, CheckpointError, FaultClockEntry, FaultEngineCheckpoint,
-    HistogramCheckpoint, MachineCheckpoint, MemoryCheckpoint, PendingCheckpoint, QueueCheckpoint,
-    RestoreError, StatusCheckpoint, TelemetryCheckpoint, TrafficCheckpoint, CHECKPOINT_VERSION,
-    FAULT_STAT_FIELDS,
+    HistogramCheckpoint, MachineCheckpoint, MemoryCheckpoint, PendingCheckpoint, RestoreError,
+    StatusCheckpoint, TelemetryCheckpoint, CHECKPOINT_VERSION,
 };
 pub use machine::Machine;
 pub use op::{Access, MemOp, OpResult};

@@ -1,34 +1,9 @@
 //! Internal per-PE execution status.
 
-use decache_cache::RefClass;
-use decache_mem::{Addr, Word};
+use decache_mem::Addr;
 
-/// What a stalled processing element is waiting for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Pending {
-    /// A bus read for a CPU read miss.
-    Read { addr: Addr, class: RefClass },
-    /// A bus write (or bus invalidate) for a CPU write miss; carries the
-    /// CPU value so the bus-invalidate path (which has no data payload)
-    /// can install it locally on completion.
-    Write {
-        addr: Addr,
-        value: Word,
-        class: RefClass,
-    },
-    /// The locked-read half of a Test-and-Set.
-    LockedRead {
-        addr: Addr,
-        set_to: Word,
-        class: RefClass,
-    },
-    /// The unlocking-write half of a successful Test-and-Set.
-    UnlockWrite {
-        addr: Addr,
-        old: Word,
-        class: RefClass,
-    },
-}
+// The machine runs on its checkpoint forms directly.
+pub(crate) use crate::{PendingCheckpoint as Pending, StatusCheckpoint as PeStatus};
 
 impl Pending {
     /// The address the pending transaction targets.
@@ -42,24 +17,11 @@ impl Pending {
     }
 }
 
-/// The execution status of one processing element.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PeStatus {
-    /// Ready to issue its next operation.
-    Idle,
-    /// Stalled on a bus transaction.
-    WaitBus(Pending),
-    /// The processor's program has finished.
-    Done,
-    /// The PE fail-stopped: its cache is dark, its pending work was
-    /// cancelled, and it never issues again. Counts as finished for
-    /// completion purposes — the surviving PEs run on.
-    Failed,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use decache_cache::RefClass;
+    use decache_mem::Word;
 
     #[test]
     fn pending_addr_extraction() {

@@ -33,17 +33,18 @@
 
 pub mod artifact;
 pub mod checkpoint;
+pub mod codec;
 pub mod json;
 mod perfetto;
 mod snapshot;
 
 pub use artifact::{append_line_atomic, write_atomic};
 pub use checkpoint::{checkpoint_from_json, checkpoint_to_json, load_checkpoint, save_checkpoint};
+pub use codec::{Absent, DecodeError, FromJson, ToJson};
 pub use json::Json;
 pub use perfetto::{env_trace_path, PerfettoTrace, DEFAULT_CAPACITY};
 pub use snapshot::{
-    BusCounts, CacheCounts, FaultCounts, HistogramSet, HistogramSnapshot, MachineCounts,
-    MetricsSnapshot, SCHEMA_VERSION,
+    BusCounts, CacheCounts, HistogramSet, HistogramSnapshot, MetricsSnapshot, SCHEMA_VERSION,
 };
 
 // The histograms themselves live in `decache-machine` (the machine

@@ -8,10 +8,12 @@
 //! derived ratios), so a snapshot round-trips through JSON exactly and
 //! two snapshots can be merged by plain addition.
 
+use crate::codec::{Absent, DecodeError, FromJson, ToJson};
 use crate::json::Json;
+use crate::json_record;
 use decache_bus::BusOpKind;
 use decache_cache::{AccessKind, RefClass};
-use decache_machine::{Histogram, Machine};
+use decache_machine::{FaultStats, Histogram, Machine, MachineStats};
 
 /// Schema version stamped into every serialized snapshot.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -19,28 +21,24 @@ pub const SCHEMA_VERSION: u64 = 1;
 const KINDS: [&str; 2] = ["read", "write"];
 const CLASSES: [&str; 3] = ["code", "local", "shared"];
 
-fn field(value: &Json, key: &str) -> Result<Json, String> {
-    value
-        .get(key)
-        .cloned()
-        .ok_or_else(|| format!("missing field '{key}'"))
-}
-
-fn uint(value: &Json, key: &str) -> Result<u64, String> {
-    field(value, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field '{key}' is not an integer"))
-}
-
-/// Like [`uint`] but treats an absent field as 0, for counters added
-/// after snapshots of this schema version were first written.
-fn uint_or_zero(value: &Json, key: &str) -> Result<u64, String> {
-    match value.get(key) {
-        None => Ok(0),
-        Some(v) => v
-            .as_u64()
-            .ok_or_else(|| format!("field '{key}' is not an integer")),
+/// Adds every integer of `other`'s JSON form to the matching integer of
+/// `into`'s: the sum of two counter records, read off their one field
+/// list.
+fn add_counters<T: ToJson + FromJson>(into: &mut T, other: &T) {
+    fn add(into: &mut Json, other: &Json) {
+        match (into, other) {
+            (Json::U64(a), Json::U64(b)) => *a += b,
+            (Json::Object(a), Json::Object(b)) => {
+                for ((_, a), (_, b)) in a.iter_mut().zip(b) {
+                    add(a, b);
+                }
+            }
+            _ => {}
+        }
     }
+    let mut sum = into.to_json();
+    add(&mut sum, &other.to_json());
+    *into = T::from_json(&sum, Absent::Required).expect("a record decodes its own encoding");
 }
 
 /// Per-PE cache hit/miss counters, keyed by access kind × reference
@@ -112,53 +110,40 @@ impl CacheCounts {
             }
         }
     }
-
-    fn table_to_json(table: &[[u64; 3]; 2]) -> Json {
-        Json::Object(
-            KINDS
-                .iter()
-                .enumerate()
-                .map(|(k, kind)| {
-                    (
-                        (*kind).to_owned(),
-                        Json::Object(
-                            CLASSES
-                                .iter()
-                                .enumerate()
-                                .map(|(c, class)| ((*class).to_owned(), Json::U64(table[k][c])))
-                                .collect(),
-                        ),
-                    )
-                })
-                .collect(),
-        )
-    }
-
-    fn table_from_json(value: &Json) -> Result<[[u64; 3]; 2], String> {
-        let mut table = [[0u64; 3]; 2];
-        for (k, kind) in KINDS.iter().enumerate() {
-            let row = field(value, kind)?;
-            for (c, class) in CLASSES.iter().enumerate() {
-                table[k][c] = uint(&row, class)?;
-            }
-        }
-        Ok(table)
-    }
-
-    fn to_json(self) -> Json {
-        Json::object(vec![
-            ("hits", Self::table_to_json(&self.hits)),
-            ("misses", Self::table_to_json(&self.misses)),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Result<Self, String> {
-        Ok(CacheCounts {
-            hits: Self::table_from_json(&field(value, "hits")?)?,
-            misses: Self::table_from_json(&field(value, "misses")?)?,
-        })
-    }
 }
+
+/// A `[kind][class]` table as `{"read": {"code": n, ...}, ...}`.
+fn table_to_json(table: &[[u64; 3]; 2]) -> Json {
+    Json::Object(
+        KINDS
+            .iter()
+            .zip(table)
+            .map(|(kind, row)| {
+                let cells = CLASSES.iter().zip(row);
+                let cells = cells.map(|(class, &n)| ((*class).to_owned(), Json::U64(n)));
+                ((*kind).to_owned(), Json::Object(cells.collect()))
+            })
+            .collect(),
+    )
+}
+
+fn table_from_json(value: &Json) -> Result<[[u64; 3]; 2], DecodeError> {
+    let mut table = [[0u64; 3]; 2];
+    let rows = crate::codec::object(value)?;
+    for (kind, row) in KINDS.into_iter().zip(&mut table) {
+        let cells = crate::codec::decode_with(rows, kind, crate::codec::object)?;
+        for (class, cell) in CLASSES.into_iter().zip(row) {
+            *cell = crate::codec::decode_field(cells, class, Absent::Required)
+                .map_err(|e| e.at(kind))?;
+        }
+    }
+    Ok(table)
+}
+
+json_record!(CacheCounts {
+    hits: with(table_to_json, table_from_json),
+    misses: with(table_to_json, table_from_json),
+});
 
 /// Per-bus traffic counters, mirroring `TrafficStats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -227,337 +212,22 @@ impl BusCounts {
             self.busy_cycles as f64 / total as f64
         }
     }
-
-    fn merge(&mut self, other: &BusCounts) {
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.invalidates += other.invalidates;
-        self.locked_reads += other.locked_reads;
-        self.unlock_writes += other.unlock_writes;
-        self.aborted_reads += other.aborted_reads;
-        self.retries += other.retries;
-        self.busy_cycles += other.busy_cycles;
-        self.idle_cycles += other.idle_cycles;
-        self.address_phases += other.address_phases;
-    }
-
-    fn to_json(self) -> Json {
-        Json::object(vec![
-            ("reads", Json::U64(self.reads)),
-            ("writes", Json::U64(self.writes)),
-            ("invalidates", Json::U64(self.invalidates)),
-            ("locked_reads", Json::U64(self.locked_reads)),
-            ("unlock_writes", Json::U64(self.unlock_writes)),
-            ("aborted_reads", Json::U64(self.aborted_reads)),
-            ("retries", Json::U64(self.retries)),
-            ("busy_cycles", Json::U64(self.busy_cycles)),
-            ("idle_cycles", Json::U64(self.idle_cycles)),
-            ("address_phases", Json::U64(self.address_phases)),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Result<Self, String> {
-        Ok(BusCounts {
-            reads: uint(value, "reads")?,
-            writes: uint(value, "writes")?,
-            invalidates: uint(value, "invalidates")?,
-            locked_reads: uint(value, "locked_reads")?,
-            unlock_writes: uint(value, "unlock_writes")?,
-            aborted_reads: uint(value, "aborted_reads")?,
-            retries: uint(value, "retries")?,
-            busy_cycles: uint(value, "busy_cycles")?,
-            idle_cycles: uint(value, "idle_cycles")?,
-            // Postdates the first schema-1 snapshots; absent means a
-            // run under a non-split discipline that never counted it.
-            address_phases: uint_or_zero(value, "address_phases")?,
-        })
-    }
 }
 
-/// Machine-level counters, mirroring `MachineStats`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MachineCounts {
-    /// Stalled reads completed by snooping a broadcast.
-    pub broadcast_satisfied: u64,
-    /// Evicted lines written back to memory.
-    pub writebacks: u64,
-    /// Test-and-Set operations that acquired.
-    pub ts_successes: u64,
-    /// Test-and-Set operations that found the variable non-zero.
-    pub ts_failures: u64,
-    /// Bus transactions rejected by a memory lock and requeued.
-    pub lock_rejections: u64,
-    /// Locked reads among the rejections.
-    pub lock_rejected_reads: u64,
-    /// Plain bus writes among the rejections.
-    pub lock_rejected_writes: u64,
-    /// Deterministic work units: logical tag-store accesses.
-    pub tag_probes: u64,
-    /// Deterministic work units: broadcast fan-out visits (sharer and
-    /// pending-reader).
-    pub sharer_visits: u64,
-    /// Deterministic work units: arbitration scans of a non-empty bus
-    /// queue.
-    pub queue_scans: u64,
-    /// Split-transaction requests cancelled between their address and
-    /// data phases (broadcast satisfaction or fail-stop).
-    pub split_cancels: u64,
-}
-
-impl MachineCounts {
-    fn from_stats(stats: &decache_machine::MachineStats) -> Self {
-        MachineCounts {
-            broadcast_satisfied: stats.broadcast_satisfied,
-            writebacks: stats.writebacks,
-            ts_successes: stats.ts_successes,
-            ts_failures: stats.ts_failures,
-            lock_rejections: stats.lock_rejections,
-            lock_rejected_reads: stats.lock_rejected_reads,
-            lock_rejected_writes: stats.lock_rejected_writes,
-            tag_probes: stats.tag_probes,
-            sharer_visits: stats.sharer_visits,
-            queue_scans: stats.queue_scans,
-            split_cancels: stats.split_cancels,
-        }
-    }
-
-    /// Total Test-and-Set operations.
-    pub fn ts_attempts(&self) -> u64 {
-        self.ts_successes + self.ts_failures
-    }
-
-    /// Total deterministic work units, matching
-    /// `MachineStats::work_units`.
-    pub fn work_units(&self) -> u64 {
-        self.tag_probes + self.sharer_visits + self.queue_scans
-    }
-
-    fn merge(&mut self, other: &MachineCounts) {
-        self.broadcast_satisfied += other.broadcast_satisfied;
-        self.writebacks += other.writebacks;
-        self.ts_successes += other.ts_successes;
-        self.ts_failures += other.ts_failures;
-        self.lock_rejections += other.lock_rejections;
-        self.lock_rejected_reads += other.lock_rejected_reads;
-        self.lock_rejected_writes += other.lock_rejected_writes;
-        self.tag_probes += other.tag_probes;
-        self.sharer_visits += other.sharer_visits;
-        self.queue_scans += other.queue_scans;
-        self.split_cancels += other.split_cancels;
-    }
-
-    fn to_json(self) -> Json {
-        Json::object(vec![
-            ("broadcast_satisfied", Json::U64(self.broadcast_satisfied)),
-            ("writebacks", Json::U64(self.writebacks)),
-            ("ts_successes", Json::U64(self.ts_successes)),
-            ("ts_failures", Json::U64(self.ts_failures)),
-            ("lock_rejections", Json::U64(self.lock_rejections)),
-            ("lock_rejected_reads", Json::U64(self.lock_rejected_reads)),
-            ("lock_rejected_writes", Json::U64(self.lock_rejected_writes)),
-            ("tag_probes", Json::U64(self.tag_probes)),
-            ("sharer_visits", Json::U64(self.sharer_visits)),
-            ("queue_scans", Json::U64(self.queue_scans)),
-            ("split_cancels", Json::U64(self.split_cancels)),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Result<Self, String> {
-        Ok(MachineCounts {
-            broadcast_satisfied: uint(value, "broadcast_satisfied")?,
-            writebacks: uint(value, "writebacks")?,
-            ts_successes: uint(value, "ts_successes")?,
-            ts_failures: uint(value, "ts_failures")?,
-            lock_rejections: uint(value, "lock_rejections")?,
-            lock_rejected_reads: uint(value, "lock_rejected_reads")?,
-            lock_rejected_writes: uint(value, "lock_rejected_writes")?,
-            // The work-unit counters postdate the first schema-1
-            // snapshots; absent means a run that never counted them.
-            tag_probes: uint_or_zero(value, "tag_probes")?,
-            sharer_visits: uint_or_zero(value, "sharer_visits")?,
-            queue_scans: uint_or_zero(value, "queue_scans")?,
-            split_cancels: uint_or_zero(value, "split_cancels")?,
-        })
-    }
-}
-
-/// Fault-injection and recovery counters, mirroring `FaultStats`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultCounts {
-    /// Memory word flips injected.
-    pub memory_faults_injected: u64,
-    /// Cache line flips injected.
-    pub cache_faults_injected: u64,
-    /// Bus transactions lost (granted, burned, retried).
-    pub bus_transactions_lost: u64,
-    /// PEs fail-stopped.
-    pub pe_fail_stops: u64,
-    /// Memory parity failures detected on bus reads.
-    pub memory_faults_detected: u64,
-    /// Cache parity failures detected on CPU access or supply.
-    pub cache_faults_detected: u64,
-    /// Memory words repaired from an owning cache copy.
-    pub memory_recoveries_owner: u64,
-    /// Memory words repaired by majority vote.
-    pub memory_recoveries_majority: u64,
-    /// Detected memory faults with no usable replica.
-    pub memory_recoveries_failed: u64,
-    /// Corrupted cache lines invalidated and re-fetched.
-    pub cache_refetches: u64,
-    /// Corrupted cache lines healed by a captured broadcast.
-    pub broadcast_heals: u64,
-    /// Writes that existed only in a corrupted or dead cache.
-    pub lost_writes: u64,
-    /// Owned lines flushed by fail-stop draining.
-    pub drained_lines: u64,
-    /// Memory locks forcibly released from fail-stopped PEs.
-    pub forced_unlocks: u64,
-    /// Sum over detections of (detection cycle − injection cycle).
-    pub recovery_latency_total: u64,
-    /// Detections contributing to the latency sum.
-    pub recovery_latency_samples: u64,
-    /// Sum over in-loop recoveries of the replica count consulted.
-    pub replicas_at_recovery: u64,
-}
-
-impl FaultCounts {
-    fn from_stats(stats: &decache_machine::FaultStats) -> Self {
-        FaultCounts {
-            memory_faults_injected: stats.memory_faults_injected,
-            cache_faults_injected: stats.cache_faults_injected,
-            bus_transactions_lost: stats.bus_transactions_lost,
-            pe_fail_stops: stats.pe_fail_stops,
-            memory_faults_detected: stats.memory_faults_detected,
-            cache_faults_detected: stats.cache_faults_detected,
-            memory_recoveries_owner: stats.memory_recoveries_owner,
-            memory_recoveries_majority: stats.memory_recoveries_majority,
-            memory_recoveries_failed: stats.memory_recoveries_failed,
-            cache_refetches: stats.cache_refetches,
-            broadcast_heals: stats.broadcast_heals,
-            lost_writes: stats.lost_writes,
-            drained_lines: stats.drained_lines,
-            forced_unlocks: stats.forced_unlocks,
-            recovery_latency_total: stats.recovery_latency_total,
-            recovery_latency_samples: stats.recovery_latency_samples,
-            replicas_at_recovery: stats.replicas_at_recovery,
-        }
-    }
-
-    /// Total faults injected, of every kind.
-    pub fn total_injected(&self) -> u64 {
-        self.memory_faults_injected
-            + self.cache_faults_injected
-            + self.bus_transactions_lost
-            + self.pe_fail_stops
-    }
-
-    /// In-loop memory recovery attempts.
-    pub fn memory_recovery_attempts(&self) -> u64 {
-        self.memory_recoveries_owner
-            + self.memory_recoveries_majority
-            + self.memory_recoveries_failed
-    }
-
-    /// Fraction of detected memory faults repaired from a replica
-    /// (`None` when nothing was detected).
-    pub fn memory_recovery_success_rate(&self) -> Option<f64> {
-        let attempts = self.memory_recovery_attempts();
-        (attempts > 0).then(|| {
-            (self.memory_recoveries_owner + self.memory_recoveries_majority) as f64
-                / attempts as f64
-        })
-    }
-
-    const FIELDS: [&'static str; 17] = [
-        "memory_faults_injected",
-        "cache_faults_injected",
-        "bus_transactions_lost",
-        "pe_fail_stops",
-        "memory_faults_detected",
-        "cache_faults_detected",
-        "memory_recoveries_owner",
-        "memory_recoveries_majority",
-        "memory_recoveries_failed",
-        "cache_refetches",
-        "broadcast_heals",
-        "lost_writes",
-        "drained_lines",
-        "forced_unlocks",
-        "recovery_latency_total",
-        "recovery_latency_samples",
-        "replicas_at_recovery",
-    ];
-
-    fn as_array(&self) -> [u64; 17] {
-        [
-            self.memory_faults_injected,
-            self.cache_faults_injected,
-            self.bus_transactions_lost,
-            self.pe_fail_stops,
-            self.memory_faults_detected,
-            self.cache_faults_detected,
-            self.memory_recoveries_owner,
-            self.memory_recoveries_majority,
-            self.memory_recoveries_failed,
-            self.cache_refetches,
-            self.broadcast_heals,
-            self.lost_writes,
-            self.drained_lines,
-            self.forced_unlocks,
-            self.recovery_latency_total,
-            self.recovery_latency_samples,
-            self.replicas_at_recovery,
-        ]
-    }
-
-    fn from_array(values: [u64; 17]) -> Self {
-        FaultCounts {
-            memory_faults_injected: values[0],
-            cache_faults_injected: values[1],
-            bus_transactions_lost: values[2],
-            pe_fail_stops: values[3],
-            memory_faults_detected: values[4],
-            cache_faults_detected: values[5],
-            memory_recoveries_owner: values[6],
-            memory_recoveries_majority: values[7],
-            memory_recoveries_failed: values[8],
-            cache_refetches: values[9],
-            broadcast_heals: values[10],
-            lost_writes: values[11],
-            drained_lines: values[12],
-            forced_unlocks: values[13],
-            recovery_latency_total: values[14],
-            recovery_latency_samples: values[15],
-            replicas_at_recovery: values[16],
-        }
-    }
-
-    fn merge(&mut self, other: &FaultCounts) {
-        let mut merged = self.as_array();
-        for (m, o) in merged.iter_mut().zip(other.as_array()) {
-            *m += o;
-        }
-        *self = Self::from_array(merged);
-    }
-
-    fn to_json(self) -> Json {
-        Json::Object(
-            Self::FIELDS
-                .iter()
-                .zip(self.as_array())
-                .map(|(k, v)| ((*k).to_owned(), Json::U64(v)))
-                .collect(),
-        )
-    }
-
-    fn from_json(value: &Json) -> Result<Self, String> {
-        let mut values = [0u64; 17];
-        for (slot, key) in values.iter_mut().zip(Self::FIELDS) {
-            *slot = uint(value, key)?;
-        }
-        Ok(Self::from_array(values))
-    }
-}
+// `address_phases` postdates the first schema-1 snapshots; absent means
+// a run under a non-split discipline that never counted it.
+json_record!(BusCounts {
+    reads,
+    writes,
+    invalidates,
+    locked_reads,
+    unlock_writes,
+    aborted_reads,
+    retries,
+    busy_cycles,
+    idle_cycles,
+    address_phases: or_zero,
+});
 
 /// A serialized latency histogram: the moments plus the non-empty
 /// power-of-2 buckets as `(floor, count)` pairs.
@@ -603,51 +273,14 @@ impl HistogramSnapshot {
             }
         }
     }
-
-    fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("count", Json::U64(self.count)),
-            ("sum", Json::U64(self.sum)),
-            ("max", Json::U64(self.max)),
-            (
-                "buckets",
-                Json::Array(
-                    self.buckets
-                        .iter()
-                        .map(|&(floor, count)| {
-                            Json::Array(vec![Json::U64(floor), Json::U64(count)])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Result<Self, String> {
-        let buckets = field(value, "buckets")?;
-        let buckets = buckets
-            .as_array()
-            .ok_or("'buckets' is not an array")?
-            .iter()
-            .map(|pair| {
-                let pair = pair.as_array().ok_or("bucket is not a pair")?;
-                match pair {
-                    [floor, count] => Ok((
-                        floor.as_u64().ok_or("bucket floor is not an integer")?,
-                        count.as_u64().ok_or("bucket count is not an integer")?,
-                    )),
-                    _ => Err("bucket is not a pair".to_owned()),
-                }
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(HistogramSnapshot {
-            count: uint(value, "count")?,
-            sum: uint(value, "sum")?,
-            max: uint(value, "max")?,
-            buckets,
-        })
-    }
 }
+
+json_record!(HistogramSnapshot {
+    count,
+    sum,
+    max,
+    buckets,
+});
 
 /// The four cycle-attribution histograms in serialized form.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -669,25 +302,41 @@ impl HistogramSet {
         self.read_fill.merge(&other.read_fill);
         self.ts_spin.merge(&other.ts_spin);
     }
+}
 
-    fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("bus_acquire_wait", self.bus_acquire_wait.to_json()),
-            ("memory_service", self.memory_service.to_json()),
-            ("read_fill", self.read_fill.to_json()),
-            ("ts_spin", self.ts_spin.to_json()),
-        ])
-    }
+json_record!(HistogramSet {
+    bus_acquire_wait,
+    memory_service,
+    read_fill,
+    ts_spin,
+});
 
-    fn from_json(value: &Json) -> Result<Self, String> {
-        Ok(HistogramSet {
-            bus_acquire_wait: HistogramSnapshot::from_json(&field(value, "bus_acquire_wait")?)?,
-            memory_service: HistogramSnapshot::from_json(&field(value, "memory_service")?)?,
-            read_fill: HistogramSnapshot::from_json(&field(value, "read_fill")?)?,
-            ts_spin: HistogramSnapshot::from_json(&field(value, "ts_spin")?)?,
-        })
+fn schema() -> Json {
+    Json::U64(SCHEMA_VERSION)
+}
+
+fn check_schema(value: &Json) -> Result<(), DecodeError> {
+    match u64::from_json(value, Absent::Required)? {
+        SCHEMA_VERSION => Ok(()),
+        other => Err(DecodeError::new(format!(
+            "unsupported snapshot schema {other} (expected {SCHEMA_VERSION})"
+        ))),
     }
 }
+
+json_record!(MetricsSnapshot {
+    const "schema": with(schema, check_schema),
+    protocol,
+    pes,
+    buses,
+    cycles,
+    runs,
+    cache_per_pe,
+    bus_per_bus,
+    machine,
+    faults,
+    histograms: if_some,
+});
 
 /// One unified snapshot of every statistic a machine exposes.
 ///
@@ -728,9 +377,9 @@ pub struct MetricsSnapshot {
     /// Per-bus traffic counters.
     pub bus_per_bus: Vec<BusCounts>,
     /// Machine-level counters.
-    pub machine: MachineCounts,
+    pub machine: MachineStats,
     /// Fault-injection and recovery counters.
-    pub faults: FaultCounts,
+    pub faults: FaultStats,
     /// Cycle-attribution histograms; `None` when the machine was built
     /// without [`MachineBuilder::telemetry`].
     ///
@@ -754,8 +403,8 @@ impl MetricsSnapshot {
             bus_per_bus: (0..machine.bus_count())
                 .map(|b| BusCounts::from_stats(traffic.bus(b)))
                 .collect(),
-            machine: MachineCounts::from_stats(&machine.stats()),
-            faults: FaultCounts::from_stats(&machine.fault_stats()),
+            machine: machine.stats(),
+            faults: machine.fault_stats(),
             histograms: machine.histograms().map(|h| HistogramSet {
                 bus_acquire_wait: HistogramSnapshot::from_histogram(&h.bus_acquire_wait),
                 memory_service: HistogramSnapshot::from_histogram(&h.memory_service),
@@ -778,7 +427,7 @@ impl MetricsSnapshot {
     pub fn bus_total(&self) -> BusCounts {
         let mut total = BusCounts::default();
         for b in &self.bus_per_bus {
-            total.merge(b);
+            add_counters(&mut total, b);
         }
         total
     }
@@ -814,37 +463,16 @@ impl MetricsSnapshot {
             mine.merge(theirs);
         }
         for (mine, theirs) in self.bus_per_bus.iter_mut().zip(&other.bus_per_bus) {
-            mine.merge(theirs);
+            add_counters(mine, theirs);
         }
-        self.machine.merge(&other.machine);
-        self.faults.merge(&other.faults);
+        add_counters(&mut self.machine, &other.machine);
+        add_counters(&mut self.faults, &other.faults);
         Ok(())
     }
 
     /// Serializes to the versioned JSON schema.
     pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("schema", Json::U64(SCHEMA_VERSION)),
-            ("protocol", Json::Str(self.protocol.clone())),
-            ("pes", Json::U64(self.pes)),
-            ("buses", Json::U64(self.buses)),
-            ("cycles", Json::U64(self.cycles)),
-            ("runs", Json::U64(self.runs)),
-            (
-                "cache_per_pe",
-                Json::Array(self.cache_per_pe.iter().map(|c| c.to_json()).collect()),
-            ),
-            (
-                "bus_per_bus",
-                Json::Array(self.bus_per_bus.iter().map(|b| b.to_json()).collect()),
-            ),
-            ("machine", self.machine.to_json()),
-            ("faults", self.faults.to_json()),
-        ];
-        if let Some(h) = &self.histograms {
-            fields.push(("histograms", h.to_json()));
-        }
-        Json::object(fields)
+        ToJson::to_json(self)
     }
 
     /// The canonical compact JSON text.
@@ -852,49 +480,15 @@ impl MetricsSnapshot {
         self.to_json().to_string()
     }
 
-    /// Reconstructs a snapshot from its JSON form.
+    /// Reconstructs a snapshot from its JSON form. Counters added after
+    /// schema 1 was first written read as zero when absent.
     ///
     /// # Errors
     ///
-    /// Returns a message for a missing or ill-typed field, or an
-    /// unsupported schema version.
+    /// Returns a message naming the path of a missing or ill-typed
+    /// field, or an unsupported schema version.
     pub fn from_json(value: &Json) -> Result<Self, String> {
-        let schema = uint(value, "schema")?;
-        if schema != SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported snapshot schema {schema} (expected {SCHEMA_VERSION})"
-            ));
-        }
-        let cache_per_pe = field(value, "cache_per_pe")?
-            .as_array()
-            .ok_or("'cache_per_pe' is not an array")?
-            .iter()
-            .map(CacheCounts::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let bus_per_bus = field(value, "bus_per_bus")?
-            .as_array()
-            .ok_or("'bus_per_bus' is not an array")?
-            .iter()
-            .map(BusCounts::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(MetricsSnapshot {
-            protocol: field(value, "protocol")?
-                .as_str()
-                .ok_or("'protocol' is not a string")?
-                .to_owned(),
-            pes: uint(value, "pes")?,
-            buses: uint(value, "buses")?,
-            cycles: uint(value, "cycles")?,
-            runs: uint(value, "runs")?,
-            cache_per_pe,
-            bus_per_bus,
-            machine: MachineCounts::from_json(&field(value, "machine")?)?,
-            faults: FaultCounts::from_json(&field(value, "faults")?)?,
-            histograms: match value.get("histograms") {
-                Some(h) => Some(HistogramSet::from_json(h)?),
-                None => None,
-            },
-        })
+        Ok(<Self as FromJson>::from_json(value, Absent::Zero)?)
     }
 
     /// Parses a snapshot from JSON text.
@@ -1244,27 +838,87 @@ mod tests {
         assert!(snapshot.machine.tag_probes > 0);
     }
 
+    /// Counters added after schema 1 was first written: a snapshot
+    /// without them still parses, reading them as zero.
+    const LATER_MACHINE_COUNTERS: [&str; 4] = [
+        "tag_probes",
+        "sharer_visits",
+        "queue_scans",
+        "split_cancels",
+    ];
+
+    fn without(value: &mut Json, key: &str) {
+        if let Json::Object(fields) = value {
+            let before = fields.len();
+            fields.retain(|(k, _)| k != key);
+            assert_eq!(fields.len() + 1, before, "{key} was present");
+        }
+    }
+
     #[test]
     fn legacy_snapshot_without_work_units_still_parses() {
-        let machine = sample_machine(false);
-        let snapshot = MetricsSnapshot::from_machine(&machine);
-        let mut text = snapshot.to_json_string();
-        for key in ["tag_probes", "sharer_visits", "queue_scans"] {
-            let needle = format!(
-                ",\"{key}\":{}",
-                match key {
-                    "tag_probes" => snapshot.machine.tag_probes,
-                    "sharer_visits" => snapshot.machine.sharer_visits,
-                    _ => snapshot.machine.queue_scans,
-                }
+        let mut b = MachineBuilder::new(ProtocolKind::Rwb);
+        b.memory_words(64).cache_lines(8).buses(2);
+        for pe in 0..4 {
+            b.processor(
+                Script::new()
+                    .write(Addr::new(pe), Word::new(7))
+                    .read(Addr::new(pe + 1))
+                    .build(),
             );
-            assert!(text.contains(&needle), "expected {needle} in {text}");
-            text = text.replace(&needle, "");
         }
-        let back = MetricsSnapshot::parse(&text).unwrap();
+        let mut machine = b.build();
+        machine.run_to_completion(10_000);
+        let snapshot = MetricsSnapshot::from_machine(&machine);
+        assert_eq!(snapshot.bus_per_bus.len(), 2);
+        let mut legacy = snapshot.to_json();
+        let Json::Object(fields) = &mut legacy else {
+            unreachable!("a snapshot is an object")
+        };
+        for (key, value) in fields.iter_mut() {
+            match key.as_str() {
+                "machine" => LATER_MACHINE_COUNTERS
+                    .iter()
+                    .for_each(|counter| without(value, counter)),
+                "bus_per_bus" => {
+                    let Json::Array(buses) = value else {
+                        unreachable!("bus_per_bus is an array")
+                    };
+                    buses
+                        .iter_mut()
+                        .for_each(|bus| without(bus, "address_phases"));
+                }
+                _ => {}
+            }
+        }
+        let back = MetricsSnapshot::parse(&legacy.to_string()).unwrap();
         assert_eq!(back.machine.work_units(), 0, "absent counters read as 0");
+        assert_eq!(back.machine.split_cancels, 0);
+        assert!(back.bus_per_bus.iter().all(|b| b.address_phases == 0));
         back.check_conservation()
             .expect("work-unit identities are skipped for legacy snapshots");
+        // The tolerance is the snapshot schema's: a checkpoint-strict
+        // decode of the same document names the first absent counter.
+        let strict = <MetricsSnapshot as FromJson>::from_json(&legacy, Absent::Required);
+        assert_eq!(
+            strict.unwrap_err().to_string(),
+            "bus_per_bus[0].address_phases: missing"
+        );
+    }
+
+    const GOLDEN: &str = include_str!("../tests/golden/snapshot_rwb_2pe.json");
+    /// The same snapshot as written before the machine counters were
+    /// keyed in `MachineStats` order (`ts_successes` came first).
+    const GOLDEN_LEGACY_ORDER: &str =
+        include_str!("../tests/golden/snapshot_rwb_2pe_legacy_order.json");
+
+    #[test]
+    fn committed_snapshots_parse_equal_to_a_fresh_one() {
+        let fresh = MetricsSnapshot::from_machine(&sample_machine(true));
+        for golden in [GOLDEN, GOLDEN_LEGACY_ORDER] {
+            assert_eq!(MetricsSnapshot::parse(golden).unwrap(), fresh);
+        }
+        assert_eq!(format!("{}\n", fresh.to_json_string()), GOLDEN);
     }
 
     #[test]

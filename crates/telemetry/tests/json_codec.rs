@@ -7,6 +7,11 @@
 //! - *Mutation:* byte flips, truncations, insertions and deletions of
 //!   the committed golden checkpoints end in `Ok` or `Err` through
 //!   `Json::parse` → `checkpoint_from_json`, never in a panic.
+//! - *Field mutation:* edits of the decoded golden checkpoint and
+//!   snapshot trees (a dropped or duplicated field, a value of another
+//!   type, an out-of-range number, a shortened fixed-size array, an
+//!   unknown line state) decode to `Ok` or to an `Err` that names the
+//!   edited field's path, never to a panic.
 //! - *Scale:* a multi-megabyte document round-trips; a parser that is
 //!   quadratic in the input would take minutes on it.
 //!
@@ -16,7 +21,7 @@
 use decache_rng::testing::check;
 use decache_rng::Rng;
 use decache_telemetry::json::MAX_DEPTH;
-use decache_telemetry::{checkpoint_from_json, Json};
+use decache_telemetry::{checkpoint_from_json, Json, MetricsSnapshot};
 
 const GOLDENS: [(&str, &str); 2] = [
     (
@@ -28,6 +33,8 @@ const GOLDENS: [(&str, &str); 2] = [
         include_str!("../../../tests/golden/checkpoint_rwb_2pe.json"),
     ),
 ];
+
+const SNAPSHOT: &str = include_str!("golden/snapshot_rwb_2pe.json");
 
 /// Containers a random tree nests at most, before any deep chain.
 const TREE_DEPTH: usize = 6;
@@ -205,6 +212,160 @@ fn mutated_golden_checkpoints_decode_or_fail_without_panicking() {
         // Both outcomes occur: mutations inside string values or digits
         // can leave a decodable checkpoint; most break it.
         assert!(err > 0, "{name}: no mutation was rejected ({ok} decoded)");
+    }
+}
+
+/// A member or element of a decoded tree: its field path, rendered as
+/// decode errors render it, and the child positions leading to it.
+struct Node {
+    path: String,
+    at: Vec<usize>,
+    integer: bool,
+}
+
+fn nodes(value: &Json, path: &str, at: &mut Vec<usize>, out: &mut Vec<Node>) {
+    let children: Vec<(String, &Json)> = match value {
+        Json::Object(fields) => fields
+            .iter()
+            .map(|(key, v)| match path {
+                "" => (key.clone(), v),
+                _ => (format!("{path}.{key}"), v),
+            })
+            .collect(),
+        Json::Array(items) => items
+            .iter()
+            .enumerate()
+            .map(|(i, v)| (format!("{path}[{i}]"), v))
+            .collect(),
+        _ => return,
+    };
+    for (i, (child, v)) in children.into_iter().enumerate() {
+        at.push(i);
+        nodes(v, &child, at, out);
+        out.push(Node {
+            path: child,
+            at: at.clone(),
+            integer: matches!(v, Json::U64(_)),
+        });
+        at.pop();
+    }
+}
+
+/// The container holding the node at `at`.
+fn parent<'a>(root: &'a mut Json, at: &[usize]) -> &'a mut Json {
+    at[..at.len() - 1].iter().fold(root, |node, &i| match node {
+        Json::Object(fields) => &mut fields[i].1,
+        Json::Array(items) => &mut items[i],
+        _ => unreachable!("a path runs through containers"),
+    })
+}
+
+fn node<'a>(root: &'a mut Json, at: &[usize]) -> &'a mut Json {
+    let last = at[at.len() - 1];
+    match parent(root, at) {
+        Json::Object(fields) => &mut fields[last].1,
+        Json::Array(items) => &mut items[last],
+        _ => unreachable!("a path runs through containers"),
+    }
+}
+
+fn key(n: &Node) -> &str {
+    let tail = n.path.rsplit('.').next().unwrap_or(&n.path);
+    tail.split('[').next().unwrap_or(tail)
+}
+
+/// Applies one field-aware edit to `tree`; returns the edited field's
+/// path.
+fn mutate_field(rng: &mut Rng, tree: &mut Json) -> String {
+    let mut all = Vec::new();
+    nodes(tree, "", &mut Vec::new(), &mut all);
+    let pick = |rng: &mut Rng, keep: &dyn Fn(&Node) -> bool| {
+        let matching: Vec<&Node> = all.iter().filter(|n| keep(n)).collect();
+        (!matching.is_empty()).then(|| *rng.choose(&matching))
+    };
+    let member = |n: &Node| !n.path.ends_with(']');
+    let edit = rng.gen_range(0u32..6);
+    let target = match edit {
+        0 | 1 => pick(rng, &member),
+        2 => pick(rng, &|n| n.integer),
+        3 => pick(rng, &|n| {
+            matches!(key(n), "rng_state" | "counts") && member(n)
+        }),
+        4 => pick(rng, &|n| key(n) == "state" && member(n)),
+        _ => None,
+    };
+    // A document without the targeted kind of field gets a type swap.
+    let (edit, target) = match target {
+        Some(target) => (edit, target),
+        None => (5, rng.choose(&all)),
+    };
+    let at = &target.at;
+    let last = at[at.len() - 1];
+    match (edit, parent(tree, at)) {
+        (0, Json::Object(fields)) => {
+            fields.remove(last);
+        }
+        (1, Json::Object(fields)) => {
+            let copy = fields[last].clone();
+            fields.insert(last + 1, copy);
+        }
+        (2, _) => {
+            *node(tree, at) = Json::U64(*rng.choose(&[u64::MAX, 1 << 40, 65_536]));
+        }
+        (3, _) => {
+            if let Json::Array(items) = node(tree, at) {
+                items.truncate(rng.gen_range(0..items.len().max(1)));
+            }
+        }
+        (4, _) => *node(tree, at) = Json::Str("F999".to_owned()),
+        _ => {
+            let value = node(tree, at);
+            let others: Vec<Json> = [
+                Json::Null,
+                Json::Bool(true),
+                Json::U64(7),
+                Json::F64(0.5),
+                Json::Str("x".to_owned()),
+                Json::Array(Vec::new()),
+                Json::Object(Vec::new()),
+            ]
+            .into_iter()
+            .filter(|v| std::mem::discriminant(v) != std::mem::discriminant(value))
+            .collect();
+            *value = rng.choose(&others).clone();
+        }
+    }
+    target.path.clone()
+}
+
+#[test]
+fn field_mutations_decode_or_name_the_edited_field() {
+    type Decode = fn(&Json) -> Result<(), String>;
+    let checkpoint: Decode = |v| checkpoint_from_json(v).map(drop);
+    let snapshot: Decode = |v| MetricsSnapshot::from_json(v).map(drop);
+    let documents = GOLDENS
+        .iter()
+        .map(|&(name, text)| (name, text, checkpoint))
+        .chain([("snapshot_rwb_2pe", SNAPSHOT, snapshot)]);
+    for (name, text, decode) in documents {
+        let golden = Json::parse(text).unwrap();
+        decode(&golden).unwrap();
+        let (mut ok, mut err) = (0u32, 0u32);
+        check(&format!("field_mutation_{name}"), 256, |rng| {
+            let mut tree = golden.clone();
+            let path = mutate_field(rng, &mut tree);
+            match decode(&tree) {
+                Ok(()) => ok += 1,
+                Err(e) => {
+                    assert!(
+                        e.starts_with(&format!("{path}: ")),
+                        "editing {path} failed without naming it: {e}"
+                    );
+                    err += 1;
+                }
+            }
+        });
+        assert!(err > 0, "{name}: no edit was rejected ({ok} decoded)");
     }
 }
 

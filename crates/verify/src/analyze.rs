@@ -45,8 +45,8 @@ pub enum CheckKind {
     Totality,
     /// A cell matched by more than one rule in some configuration.
     Determinism,
-    /// A rule outside the domain or with the wrong effect shape for its
-    /// input class.
+    /// A rule outside the domain, going to a state the table does not
+    /// declare, or with the wrong effect shape for its input class.
     WellFormed,
     /// A guard placed where the execution model cannot evaluate it
     /// PE-symmetrically.
@@ -200,6 +200,17 @@ fn syntactic_checks(table: &RuleTable) -> Vec<Diagnostic> {
                 Some(rule.id()),
                 "rule sits outside the transition domain".to_owned(),
             ));
+        }
+        if let Effect::Hit { next } | Effect::Next { next, .. } | Effect::Supply { next } =
+            rule.effect
+        {
+            if !table.states.contains(&next) {
+                out.push(diag(
+                    CheckKind::WellFormed,
+                    Some(rule.id()),
+                    format!("target state {next} is not in the declared state vocabulary"),
+                ));
+            }
         }
         if !rule.input.accepts(rule.effect) {
             out.push(diag(

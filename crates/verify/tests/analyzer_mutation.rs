@@ -182,3 +182,36 @@ fn a_guard_outside_the_fill_is_caught_as_asymmetric() {
         analysis.diagnostics
     );
 }
+
+/// Mutant 6 — **undeclared target**: RB's write hit on an owned line
+/// (`L --CW`, fired by every repeated private write) is sent to the
+/// RWB first-write state `F`, which RB does not declare. The
+/// well-formedness pass must name the rule, as it would for a rule
+/// leaving an undeclared state.
+#[test]
+fn a_rule_to_an_undeclared_state_is_caught_by_name() {
+    let mut table = ir::kind_table(ProtocolKind::Rb);
+    assert!(!table.states.contains(&LineState::FirstWrite(1)));
+    let position = rule_position(
+        &table,
+        Some(LineState::Local),
+        TableInput::CpuWrite,
+        Guard::Always,
+    );
+    table.rules[position].effect = Effect::Hit {
+        next: LineState::FirstWrite(1),
+    };
+
+    let analysis = analyze(&table, false);
+    assert!(!analysis.proved(), "mutant passed the analyzer");
+    let named: Vec<_> = analysis
+        .diagnostics
+        .iter()
+        .filter(|d| d.check == CheckKind::WellFormed && d.rule.as_deref() == Some("L --CW"))
+        .collect();
+    assert!(
+        named.iter().any(|d| d.message.contains("target state F")),
+        "no well-formedness diagnostic names L --CW: {:?}",
+        analysis.diagnostics
+    );
+}
