@@ -157,6 +157,21 @@ fn record_line(value: Json) {
         .unwrap_or_else(|e| panic!("DECACHE_BENCH_JSON={path}: {e}"));
 }
 
+/// The leading fields of a timing or metrics record: `"rev"` when a
+/// commit label is given, then `"name"`. With no label the record is
+/// byte-for-byte what it was before labels existed.
+fn record_head(rev: Option<String>, name: &str) -> Vec<(&'static str, Json)> {
+    let rev = rev.map(|rev| ("rev", Json::Str(rev)));
+    rev.into_iter()
+        .chain([("name", Json::Str(name.to_owned()))])
+        .collect()
+}
+
+/// The commit label for appended records, from `DECACHE_BENCH_COMMIT`.
+fn bench_commit() -> Option<String> {
+    std::env::var("DECACHE_BENCH_COMMIT").ok()
+}
+
 /// The spread of one bench case's per-iteration times, in nanoseconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Spread {
@@ -186,32 +201,42 @@ impl Spread {
     }
 }
 
-/// Appends one `{"name", "ns_per_iter", "iters", "median_ns", "min_ns",
-/// "max_ns"}` record to the file named by `DECACHE_BENCH_JSON`, if set.
-/// `ns_per_iter` is the mean, as in the older records.
+/// Appends one `{"rev"?, "name", "ns_per_iter", "iters", "median_ns",
+/// "min_ns", "max_ns"}` record to the file named by
+/// `DECACHE_BENCH_JSON`, if set. `ns_per_iter` is the mean, as in the
+/// older records; `"rev"` is `DECACHE_BENCH_COMMIT`, when set.
 fn record_json(name: &str, spread: Spread, iters: u32) {
+    record_line(timing_record(bench_commit(), name, spread, iters));
+}
+
+fn timing_record(rev: Option<String>, name: &str, spread: Spread, iters: u32) -> Json {
     // Keep the historical one-decimal rendering of BENCH_simulator.json
     // (`Json::F64` would print the full shortest-round-trip form).
     let ns = |nanos: f64| Json::F64((nanos * 10.0).round() / 10.0);
-    record_line(Json::object(vec![
-        ("name", Json::Str(name.to_owned())),
+    let mut fields = record_head(rev, name);
+    fields.extend([
         ("ns_per_iter", ns(spread.mean)),
         ("iters", Json::U64(u64::from(iters))),
         ("median_ns", ns(spread.median)),
         ("min_ns", ns(spread.min)),
         ("max_ns", ns(spread.max)),
-    ]));
+    ]);
+    Json::object(fields)
 }
 
 /// Appends one JSON record of named numeric metrics to the file named
-/// by `DECACHE_BENCH_JSON`, if set: `{"name": …, "<key>": <value>, …}`.
-/// The non-timing counterpart of [`time_case`]'s records, for derived
-/// quantities (rates, means) that are not raw counters. For full
-/// counter dumps, prefer [`record_snapshot`].
+/// by `DECACHE_BENCH_JSON`, if set: `{"rev"?, "name": …, "<key>":
+/// <value>, …}`. The non-timing counterpart of [`time_case`]'s records,
+/// for derived quantities (rates, means) that are not raw counters. For
+/// full counter dumps, prefer [`record_snapshot`].
 pub fn record_metrics(name: &str, fields: &[(&str, f64)]) {
-    let mut obj = vec![("name", Json::Str(name.to_owned()))];
+    record_line(metrics_record(bench_commit(), name, fields));
+}
+
+fn metrics_record(rev: Option<String>, name: &str, fields: &[(&str, f64)]) -> Json {
+    let mut obj = record_head(rev, name);
     obj.extend(fields.iter().map(|&(key, value)| (key, Json::F64(value))));
-    record_line(Json::object(obj));
+    Json::object(obj)
 }
 
 /// Appends one `{"name": …, "snapshot": <MetricsSnapshot>}` record to
@@ -272,6 +297,9 @@ pub fn save_env_trace(trace: &Option<PerfettoTrace>, machine: &Machine) {
 ///   (`{"name": …, "ns_per_iter": <mean>, "iters": …, "median_ns": …,
 ///   "min_ns": …, "max_ns": …}`) to `<path>`, so sweeps can be diffed
 ///   across commits (see `BENCH_simulator.json`).
+/// * `DECACHE_BENCH_COMMIT=<label>` puts a leading `"rev": <label>` in
+///   each record, so rows from different commits in one file stay
+///   apart.
 pub fn time_case<T>(name: &str, iters: u32, mut body: impl FnMut() -> T) -> f64 {
     let iters = match std::env::var("DECACHE_BENCH_ITERS") {
         Ok(v) => v
@@ -309,6 +337,35 @@ pub fn time_case<T>(name: &str, iters: u32, mut body: impl FnMut() -> T) -> f64 
 #[cfg(test)]
 mod tests {
     use super::Spread;
+
+    fn spread() -> Spread {
+        Spread::of(&[1.0, 2.25, 3.0])
+    }
+
+    #[test]
+    fn unlabelled_records_keep_their_format() {
+        assert_eq!(
+            super::timing_record(None, "case", spread(), 3).to_string(),
+            r#"{"name":"case","ns_per_iter":2.1,"iters":3,"median_ns":2.3,"min_ns":1.0,"max_ns":3.0}"#
+        );
+        assert_eq!(
+            super::metrics_record(None, "case", &[("rate", 0.5)]).to_string(),
+            r#"{"name":"case","rate":0.5}"#
+        );
+    }
+
+    #[test]
+    fn labelled_records_lead_with_their_commit() {
+        let rev = || Some("abc1234".to_owned());
+        assert_eq!(
+            super::timing_record(rev(), "case", spread(), 3).to_string(),
+            r#"{"rev":"abc1234","name":"case","ns_per_iter":2.1,"iters":3,"median_ns":2.3,"min_ns":1.0,"max_ns":3.0}"#
+        );
+        assert_eq!(
+            super::metrics_record(rev(), "case", &[("rate", 0.5)]).to_string(),
+            r#"{"rev":"abc1234","name":"case","rate":0.5}"#
+        );
+    }
 
     #[test]
     fn banner_prints() {

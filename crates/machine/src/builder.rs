@@ -13,6 +13,15 @@ const DEFAULT_CACHE_LINES: usize = 256;
 /// Default trace capacity when tracing is enabled.
 const DEFAULT_TRACE_CAPACITY: usize = 100_000;
 
+/// The most processing elements a machine can have: a [`PeId`] is 16
+/// bits wide.
+///
+/// [`PeId`]: decache_mem::PeId
+pub const MAX_PES: usize = 1 << 16;
+
+/// The most buses [`MachineBuilder::buses`] accepts.
+pub const MAX_BUSES: usize = 256;
+
 /// The machine shape a builder will produce.
 enum Shape {
     Interleaved { bank_bits: u32 },
@@ -157,8 +166,8 @@ impl MachineBuilder {
     /// Panics if `buses` is not a power of two in `1..=256`.
     pub fn buses(&mut self, buses: usize) -> &mut Self {
         assert!(
-            buses.is_power_of_two() && (1..=256).contains(&buses),
-            "bus count {buses} must be a power of two in 1..=256"
+            buses.is_power_of_two() && buses <= MAX_BUSES,
+            "bus count {buses} must be a power of two in 1..={MAX_BUSES}"
         );
         self.shape = Shape::Interleaved {
             bank_bits: buses.trailing_zeros(),
@@ -306,13 +315,18 @@ impl MachineBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if no processors were added, or if the memory size is not
-    /// divisible by the bus count.
+    /// Panics if no processors were added, if more than [`MAX_PES`]
+    /// were, or if the memory size is not divisible by the bus count.
     pub fn build(&mut self) -> Machine {
         let processors = std::mem::take(&mut self.processors);
         assert!(
             !processors.is_empty(),
             "a machine needs at least one processor"
+        );
+        assert!(
+            processors.len() <= MAX_PES,
+            "{} PEs exceed the {MAX_PES}-PE cap (a PeId is 16 bits)",
+            processors.len()
         );
         let routing = match self.shape {
             Shape::Interleaved { bank_bits } => Routing::interleaved(bank_bits),
@@ -409,6 +423,14 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_buses_panics() {
         MachineBuilder::new(ProtocolKind::Rb).buses(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the 65536-PE cap")]
+    fn too_many_processors_panics_naming_the_cap() {
+        MachineBuilder::new(ProtocolKind::Rb)
+            .processors(MAX_PES + 1, |_| Box::new(crate::IdleProcessor))
+            .build();
     }
 
     #[test]

@@ -57,7 +57,7 @@ mod status;
 mod telemetry;
 mod trace;
 
-pub use builder::MachineBuilder;
+pub use builder::{MachineBuilder, MAX_BUSES, MAX_PES};
 pub use fault::{
     FailStopPolicy, FaultKind, FaultPlan, FaultStats, InjectError, RecoveryPolicy, RecoverySource,
 };

@@ -8,8 +8,8 @@ use crate::status::{PeStatus, Pending};
 use crate::telemetry::TelemetryState;
 use crate::trace::{CpuDecision, Observation, Observer};
 use crate::{
-    FailStopPolicy, FaultStats, HaltReason, MachineStats, MemOp, OpResult, PeBlame, Processor,
-    RecoveryPolicy, RunOutcome, Snapshot, StallVerdict, Trace, TraceEvent, TraceKind,
+    FailStopPolicy, FaultStats, HaltReason, MachineStats, MemOp, OpResult, PeBlame, Poll,
+    Processor, RecoveryPolicy, RunOutcome, Snapshot, StallVerdict, Trace, TraceEvent, TraceKind,
 };
 use decache_bus::{
     Arbiter, BusOp, BusOpKind, BusQueue, BusTransaction, MultiBusStats, Routing, ServiceDiscipline,
@@ -32,7 +32,9 @@ pub(crate) mod checkpoint;
 /// The temporal contract follows the paper's assumptions (Section 2):
 /// each bus cycle, (1) every idle PE may issue one memory operation to
 /// its cache — hits complete immediately, misses enqueue a bus request
-/// and stall the PE; (2) each bus grants one transaction; (3) every cache
+/// and stall the PE (every idle PE's processor is polled before any
+/// polled operation starts, both in ascending PE order; see
+/// [`Processor`]); (2) each bus grants one transaction; (3) every cache
 /// snoops the granted transaction in the same cycle; (4) a cache holding
 /// the target in the `L` state interrupts a foreign bus read, the cycle
 /// carries that cache's bus write instead, and the read retries next
@@ -58,6 +60,10 @@ pub struct Machine {
     /// indexes, and the broadcasts deferred until a line is read.
     caches: Caches,
     processors: Vec<Box<dyn Processor + Send>>,
+    /// The issue phase's scratch list of `(pe, op)`, filled by its
+    /// polling pass and emptied by its starting pass. Empty between
+    /// steps, so it is never checkpointed.
+    polled: Vec<(usize, MemOp)>,
     statuses: Vec<PeStatus>,
     last_results: Vec<Option<OpResult>>,
     queues: Vec<BusQueue>,
@@ -182,6 +188,7 @@ impl Machine {
             statuses: vec![PeStatus::Idle; n],
             last_results: vec![None; n],
             processors,
+            polled: Vec::with_capacity(n),
             queues: (0..buses)
                 .map(|_| BusQueue::with_discipline(discipline))
                 .collect(),
@@ -1144,20 +1151,30 @@ impl Machine {
 
     // ----- issue phase ------------------------------------------------
 
+    /// Polls every idle PE, then starts every polled operation, both in
+    /// ascending PE order. The split is exact: starting PE `p`'s
+    /// operation reads and writes only `p`'s processor slot, status and
+    /// last result (see [`Processor`]), so each poll sees what it would
+    /// have seen interleaved with the starts, and the starts emit their
+    /// events in the same order. A `Halt` starts nothing and emits no
+    /// event, so the polling pass retires it on the spot.
     fn issue_phase(&mut self) {
-        // Cursor over the idle bitset: handling one PE never changes
-        // another PE's status, so this visits exactly the PEs the old
-        // full scan found idle, in the same ascending order.
+        let mut polled = std::mem::take(&mut self.polled);
         let mut cursor = 0;
         while let Some(pe) = self.idle.next_from(cursor) {
             cursor = pe + 1;
             let last = self.last_results[pe].take();
             match self.processors[pe].next_op(last.as_ref()) {
-                crate::Poll::Halt => self.set_status(pe, PeStatus::Done),
-                crate::Poll::Wait => {}
-                crate::Poll::Op(op) => self.start_op(pe, op),
+                Poll::Halt => self.set_status(pe, PeStatus::Done),
+                Poll::Wait => {}
+                Poll::Op(op) => polled.push((pe, op)),
             }
         }
+        for &(pe, op) in &polled {
+            self.start_op(pe, op);
+        }
+        polled.clear();
+        self.polled = polled;
     }
 
     fn start_op(&mut self, pe: usize, op: MemOp) {
@@ -1878,6 +1895,7 @@ impl Machine {
                 PeStatus::WaitBus(_) => {}
             }
         }
+        assert!(self.polled.is_empty(), "issue buffer not drained");
         assert_eq!(self.idle_count, idle, "idle_count drifted");
         assert_eq!(self.idle.total(), idle, "idle set has stale bits");
         assert_eq!(self.done_count, done, "done_count drifted");

@@ -101,6 +101,17 @@ pub enum ProcessorCheckpoint {
 /// straight-line reference streams ([`Script`]), synthetic workload
 /// generators, and reactive programs such as Test-and-Test-and-Set
 /// spinlocks (which decide the next operation from the last read value).
+///
+/// # When the machine polls
+///
+/// Each cycle the machine polls every idle PE's processor, in ascending
+/// PE order, before it starts any of the polled operations. A processor
+/// sees only its own last result, and starting PE `p`'s operation reads
+/// and writes only `p`'s processor slot, status and last result, never
+/// another PE's; so every poll returns what it would have returned had
+/// the polls and starts been interleaved PE by PE. A processor must
+/// not learn about the machine through any other channel (shared state
+/// with a cache or bus observer, say), or it could tell the difference.
 pub trait Processor {
     /// Produces the next operation, given the result of the previous one
     /// (`None` on the very first call, and after a `Wait`).

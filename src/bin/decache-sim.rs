@@ -9,7 +9,7 @@
 //! ```
 
 use decache::core::{ir::MAX_K, ProtocolKind};
-use decache::machine::MachineBuilder;
+use decache::machine::{MachineBuilder, MAX_BUSES, MAX_PES};
 use decache::mem::{Addr, AddrRange};
 use decache::sync::{BarrierWorker, LockWorker, Primitive};
 use decache::workloads::{ArrayInit, MixConfig, MixWorkload};
@@ -116,8 +116,25 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             other => return Err(format!("unknown flag: {other}")),
         }
     }
-    if options.pes == 0 {
-        return Err("--pes must be at least 1".to_owned());
+    // The builder asserts these shapes; a usage error is the place to
+    // turn them away.
+    if !(1..=MAX_PES).contains(&options.pes) {
+        return Err(format!(
+            "--pes must be in 1..={MAX_PES}, not {}",
+            options.pes
+        ));
+    }
+    if !options.buses.is_power_of_two() || options.buses > MAX_BUSES {
+        return Err(format!(
+            "--buses must be a power of two in 1..={MAX_BUSES}, not {}",
+            options.buses
+        ));
+    }
+    if !options.cache_lines.is_power_of_two() {
+        return Err(format!(
+            "--cache-lines must be a nonzero power of two, not {}",
+            options.cache_lines
+        ));
     }
     Ok(options)
 }
@@ -128,7 +145,7 @@ fn main() -> ExitCode {
         Ok(o) => o,
         Err(message) => {
             eprintln!("{message}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
 
@@ -267,5 +284,22 @@ mod tests {
         assert!(parse_args(&args(&["--workload", "nonsense"])).is_err());
         assert!(parse_args(&args(&["--frobnicate"])).is_err());
         assert!(parse_args(&args(&["--help"])).is_err());
+    }
+
+    #[test]
+    fn shapes_the_builder_would_reject_are_usage_errors() {
+        assert!(parse_args(&args(&["--pes", "65536"])).is_ok());
+        for bad in [
+            &["--pes", "65537"][..],
+            &["--pes", "70000"],
+            &["--buses", "0"],
+            &["--buses", "3"],
+            &["--buses", "512"],
+            &["--cache-lines", "0"],
+            &["--cache-lines", "100"],
+        ] {
+            let err = parse_args(&args(bad)).unwrap_err();
+            assert!(err.starts_with(bad[0]), "{bad:?}: {err}");
+        }
     }
 }

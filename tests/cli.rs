@@ -1,12 +1,17 @@
-//! The `decache-sim` binary end to end: out-of-range RWB thresholds are
-//! rejected with an error and a failing exit status, not a panic, and
-//! the largest supported threshold runs.
+//! The `decache-sim` binary end to end: out-of-range RWB thresholds and
+//! machine shapes the builder cannot take are rejected with an error
+//! and a failing exit status, not a panic, and the largest supported
+//! threshold runs.
 
 use std::process::{Command, Output};
 
 fn sim(protocol: &str) -> Output {
+    run(&["--protocol", protocol, "--pes", "2", "--ops", "20"])
+}
+
+fn run(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_decache-sim"))
-        .args(["--protocol", protocol, "--pes", "2", "--ops", "20"])
+        .args(args)
         .output()
         .expect("decache-sim starts")
 }
@@ -35,4 +40,21 @@ fn the_largest_rwb_threshold_runs() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(stdout.contains("RWB(k=8)"), "stdout was {stdout:?}");
+}
+
+#[test]
+fn unbuildable_shapes_are_usage_errors() {
+    for (flag, value) in [
+        ("--pes", "70000"),
+        ("--buses", "0"),
+        ("--buses", "3"),
+        ("--cache-lines", "0"),
+        ("--cache-lines", "100"),
+    ] {
+        let out = run(&[flag, value]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
+        assert!(stderr.starts_with(flag), "{flag} {value}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flag} {value}: {stderr}");
+    }
 }
