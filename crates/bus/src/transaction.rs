@@ -128,7 +128,7 @@ impl fmt::Display for BusOpKind {
 /// use decache_mem::{Addr, PeId, Word};
 ///
 /// let tx = BusTransaction::new(PeId::new(2), Addr::new(40), BusOp::Write(Word::new(9)));
-/// assert_eq!(tx.to_string(), "P2 BW(9) @40");
+/// assert_eq!(tx.op.data(), Some(Word::new(9)));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BusTransaction {
@@ -150,12 +150,6 @@ impl BusTransaction {
             addr,
             op,
         }
-    }
-}
-
-impl fmt::Display for BusTransaction {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {} {}", self.initiator, self.op, self.addr)
     }
 }
 
@@ -206,11 +200,5 @@ mod tests {
         assert_eq!(BusOpKind::Read.mnemonic(), "BR");
         assert_eq!(BusOpKind::Write.mnemonic(), "BW");
         assert_eq!(BusOpKind::Invalidate.mnemonic(), "BI");
-    }
-
-    #[test]
-    fn transaction_display() {
-        let tx = BusTransaction::new(PeId::new(0), Addr::new(3), BusOp::Read);
-        assert_eq!(tx.to_string(), "P0 BR @3");
     }
 }

@@ -1,6 +1,6 @@
 //! Fluent construction of [`Machine`]s.
 
-use crate::{FailStopPolicy, FaultPlan, Machine, Observer, Processor, RecoveryPolicy, Trace};
+use crate::{FailStopPolicy, FaultPlan, Machine, Observer, Processor, RecoveryPolicy};
 use decache_bus::{ArbiterKind, Routing, ServiceDiscipline};
 use decache_cache::{Geometry, TagStore};
 use decache_core::ProtocolKind;
@@ -10,8 +10,6 @@ use decache_mem::Memory;
 const DEFAULT_MEMORY_WORDS: u64 = 4096;
 /// Default cache size in lines (direct-mapped, one-word blocks).
 const DEFAULT_CACHE_LINES: usize = 256;
-/// Default trace capacity when tracing is enabled.
-const DEFAULT_TRACE_CAPACITY: usize = 100_000;
 
 /// The most processing elements a machine can have: a [`PeId`] is 16
 /// bits wide.
@@ -56,7 +54,6 @@ pub struct MachineBuilder {
     arbiter: ArbiterKind,
     discipline: ServiceDiscipline,
     transaction_cycles: u64,
-    trace: bool,
     processors: Vec<Box<dyn Processor + Send>>,
     observers: Vec<Box<dyn Observer>>,
     initial_memory: Vec<(decache_mem::Addr, decache_mem::Word)>,
@@ -82,7 +79,6 @@ impl std::fmt::Debug for MachineBuilder {
             )
             .field("arbiter", &self.arbiter)
             .field("discipline", &self.discipline)
-            .field("trace", &self.trace)
             .field("processors", &self.processors.len())
             .finish()
     }
@@ -100,7 +96,6 @@ impl MachineBuilder {
             arbiter: ArbiterKind::RoundRobin,
             discipline: ServiceDiscipline::default(),
             transaction_cycles: 1,
-            trace: false,
             processors: Vec::new(),
             observers: Vec::new(),
             initial_memory: Vec::new(),
@@ -208,12 +203,6 @@ impl MachineBuilder {
     /// where the discipline leaves any.
     pub fn discipline(&mut self, discipline: ServiceDiscipline) -> &mut Self {
         self.discipline = discipline;
-        self
-    }
-
-    /// Enables event tracing.
-    pub fn trace(&mut self) -> &mut Self {
-        self.trace = true;
         self
     }
 
@@ -359,10 +348,6 @@ impl MachineBuilder {
         let arbiters = (0..routing.bus_count())
             .map(|_| self.arbiter.build())
             .collect();
-        let mut trace = Trace::new();
-        if self.trace {
-            trace.enable(DEFAULT_TRACE_CAPACITY);
-        }
         let mut memory = Memory::new(self.memory_words);
         for &(addr, value) in &self.initial_memory {
             memory
@@ -379,7 +364,6 @@ impl MachineBuilder {
             arbiters,
             self.transaction_cycles,
             self.discipline,
-            trace,
             self.fault_plan.take(),
             self.recovery_policy,
             self.fail_stop_policy,
@@ -447,15 +431,5 @@ mod tests {
             })
             .build();
         assert_eq!(machine.pe_count(), 5);
-    }
-
-    #[test]
-    fn trace_flag_enables_recording() {
-        let mut machine = MachineBuilder::new(ProtocolKind::Rb)
-            .trace()
-            .processor(Script::new().read(Addr::new(0)).build())
-            .build();
-        machine.run_to_completion(100);
-        assert!(!machine.trace().is_empty());
     }
 }

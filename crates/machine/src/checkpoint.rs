@@ -15,10 +15,10 @@
 //! protocol, including active fault plans.
 //!
 //! Two things are deliberately *not* captured, because they are pure
-//! observation and never feed back into simulated state: the event
-//! trace ring buffer and registered [`Observer`](crate::Observer)s. A
-//! restored machine starts with whatever trace/observer configuration
-//! it was built with.
+//! observation and never feed back into simulated state: registered
+//! [`Observer`](crate::Observer)s, and with them any event ring they
+//! feed. A restored machine starts with whatever observers it was built
+//! with.
 //!
 //! The checkpoint struct is plain public data so the `decache-telemetry`
 //! crate can serialize it through the workspace's canonical JSON codec
@@ -482,8 +482,8 @@ impl Machine {
     /// Exports the machine's complete run state as a versioned
     /// [`MachineCheckpoint`].
     ///
-    /// The event trace and registered observers are *not* captured —
-    /// they are pure observation and never influence simulated state.
+    /// Registered observers are *not* captured — they are pure
+    /// observation and never influence simulated state.
     ///
     /// # Errors
     ///

@@ -78,4 +78,4 @@ pub use recovery::RecoveryError;
 pub use snapshot::{Snapshot, SnapshotTable};
 pub use stats::MachineStats;
 pub use telemetry::{CycleHistograms, Histogram};
-pub use trace::{CpuDecision, Observation, Observer, Trace, TraceEvent, TraceKind};
+pub use trace::{CpuDecision, Observation, Observer};

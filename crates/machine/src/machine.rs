@@ -9,7 +9,7 @@ use crate::telemetry::TelemetryState;
 use crate::trace::{CpuDecision, Observation, Observer};
 use crate::{
     FailStopPolicy, FaultStats, HaltReason, MachineStats, MemOp, OpResult, PeBlame, Poll,
-    Processor, RecoveryPolicy, RunOutcome, Snapshot, StallVerdict, Trace, TraceEvent, TraceKind,
+    Processor, RecoveryPolicy, RunOutcome, Snapshot, StallVerdict,
 };
 use decache_bus::{
     Arbiter, BusOp, BusOpKind, BusQueue, BusTransaction, MultiBusStats, Routing, ServiceDiscipline,
@@ -82,7 +82,6 @@ pub struct Machine {
     /// Never set in split-transaction mode: the bus is released between
     /// the address and data phases.
     bus_free_at: Vec<u64>,
-    trace: Trace,
     /// Structured protocol-level event subscribers (the conformance
     /// oracle). Notified synchronously; cannot mutate the machine.
     observers: Vec<Box<dyn Observer>>,
@@ -160,7 +159,6 @@ impl Machine {
         arbiters: Vec<Box<dyn Arbiter>>,
         transaction_cycles: u64,
         discipline: ServiceDiscipline,
-        trace: Trace,
         fault_plan: Option<FaultPlan>,
         recovery_policy: RecoveryPolicy,
         fail_stop_policy: FailStopPolicy,
@@ -200,7 +198,6 @@ impl Machine {
             transaction_cycles,
             discipline,
             bus_free_at: vec![0; buses],
-            trace,
             observers: Vec::new(),
             idle,
             idle_count: n,
@@ -417,11 +414,6 @@ impl Machine {
             // flight across the reset still records its full latency.
             t.hist = crate::CycleHistograms::default();
         }
-    }
-
-    /// The event trace (empty unless enabled at build time).
-    pub fn trace(&self) -> &[TraceEvent] {
-        self.trace.events()
     }
 
     /// Attaches a structured protocol-event [`Observer`] (e.g. the
@@ -644,17 +636,6 @@ impl Machine {
         outcome.cycles
     }
 
-    fn record(&mut self, kind: TraceKind, pe: Option<PeId>, text: impl FnOnce() -> String) {
-        if self.trace.is_enabled() {
-            self.trace.record(TraceEvent {
-                cycle: self.cycle,
-                kind,
-                pe,
-                text: text(),
-            });
-        }
-    }
-
     /// The sharer-index key for `addr`: its block base address.
     fn block_base(&self, addr: Addr) -> u64 {
         self.caches.geometry().block_base(addr).index()
@@ -872,7 +853,6 @@ impl Machine {
         self.fault_stats.memory_faults_injected += 1;
         self.fault_clock.insert((None, addr.index()), self.cycle);
         let fault = FaultKind::MemoryFlip { addr };
-        self.record(TraceKind::FaultInject, None, || fault.to_string());
         self.notify(Observation::FaultInjected { fault });
     }
 
@@ -897,9 +877,6 @@ impl Machine {
         self.fault_clock
             .insert((Some(pe), base.index()), self.cycle);
         let fault = FaultKind::CacheFlip { pe, addr: base };
-        self.record(TraceKind::FaultInject, Some(PeId::new(pe as u16)), || {
-            fault.to_string()
-        });
         self.notify(Observation::FaultInjected { fault });
     }
 
@@ -951,17 +928,7 @@ impl Machine {
             self.fault_stats.lost_writes += 1;
         }
         self.take_latency(Some(pe), removed.addr.index());
-        let pe_id = PeId::new(pe as u16);
         let base = removed.addr;
-        self.record(TraceKind::FaultDetect, Some(pe_id), || {
-            format!("cache parity failed for {base}")
-        });
-        self.record(TraceKind::Recover, Some(pe_id), || {
-            format!(
-                "scrub corrupted line {base}{}",
-                if lost_write { " (write lost)" } else { "" }
-            )
-        });
         self.notify(Observation::FaultDetected {
             pe: Some(pe),
             addr: base,
@@ -982,16 +949,10 @@ impl Machine {
     fn detect_and_repair_memory(&mut self, addr: Addr) {
         self.fault_stats.memory_faults_detected += 1;
         self.take_latency(None, addr.index());
-        self.record(TraceKind::FaultDetect, None, || {
-            format!("memory parity failed at {addr}")
-        });
         self.notify(Observation::FaultDetected { pe: None, addr });
         let allow_majority = match self.recovery_policy {
             RecoveryPolicy::Off => {
                 self.fault_stats.memory_recoveries_failed += 1;
-                self.record(TraceKind::Recover, None, || {
-                    format!("recovery off: corrupt value at {addr} adopted")
-                });
                 self.memory.clear_corrupt(addr);
                 return;
             }
@@ -1010,21 +971,10 @@ impl Machine {
                         self.fault_stats.memory_recoveries_majority += 1;
                     }
                 }
-                self.record(TraceKind::Recover, None, || match source {
-                    RecoverySource::Owner { pe } => {
-                        format!("repair {addr} = {value} from owner P{pe}")
-                    }
-                    RecoverySource::Majority { votes } => {
-                        format!("repair {addr} = {value} by majority of {votes}")
-                    }
-                });
                 self.notify(Observation::MemoryRepaired { addr, source });
             }
             None => {
                 self.fault_stats.memory_recoveries_failed += 1;
-                self.record(TraceKind::Recover, None, || {
-                    format!("no usable replica: corrupt value at {addr} adopted")
-                });
                 self.memory.clear_corrupt(addr);
             }
         }
@@ -1100,12 +1050,6 @@ impl Machine {
         self.fault_stats.lost_writes += u64::from(lost);
         self.set_status(pe, PeStatus::Failed);
         self.last_results[pe] = None;
-        self.record(TraceKind::FailStop, Some(pe_id), || {
-            format!(
-                "fail-stop: {drained} lines drained, {lost} writes lost, {} locks released",
-                released.len()
-            )
-        });
         self.notify(Observation::PeFailStopped {
             pe,
             drained,
@@ -1187,7 +1131,6 @@ impl Machine {
             // so the decision below sees a clean (missing) line.
             self.scrub_if_corrupt(pe, op.access.addr());
         }
-        self.record(TraceKind::Issue, Some(pe_id), || op.to_string());
         match op.access {
             Access::Read(addr) => {
                 // One probe serves both the protocol's hit/miss
@@ -1215,9 +1158,6 @@ impl Machine {
                         self.cache_stats[pe].record(AccessKind::Read, op.class, true);
                         self.last_progress[pe] = self.cycle;
                         self.last_results[pe] = Some(OpResult::Read(value));
-                        self.record(TraceKind::Hit, Some(pe_id), || {
-                            format!("read {addr} = {value}")
-                        });
                         self.notify(Observation::CpuAccess {
                             pe,
                             addr,
@@ -1272,9 +1212,6 @@ impl Machine {
                         self.cache_stats[pe].record(AccessKind::Write, op.class, true);
                         self.last_progress[pe] = self.cycle;
                         self.last_results[pe] = Some(OpResult::Write);
-                        self.record(TraceKind::Hit, Some(pe_id), || {
-                            format!("write {addr} <- {value}")
-                        });
                         self.notify(Observation::CpuAccess {
                             pe,
                             addr,
@@ -1357,9 +1294,6 @@ impl Machine {
             // wait was sampled at the address grant, so no second
             // `note_grant` here.
             if let Some(tx) = self.queues[bus].take_ready(self.cycle) {
-                self.record(TraceKind::Grant, Some(tx.initiator), || {
-                    format!("data phase {tx}")
-                });
                 self.execute(bus, tx);
                 continue;
             }
@@ -1382,15 +1316,11 @@ impl Machine {
                         self.fault_stats.bus_transactions_lost += 1;
                         self.traffic.bus_mut(bus).record_occupied();
                         let fault = FaultKind::BusLoss { bus };
-                        self.record(TraceKind::FaultInject, Some(tx.initiator), || {
-                            format!("{fault}: dropped {tx}")
-                        });
                         self.notify(Observation::FaultInjected { fault });
                         self.mark_enqueued(tx.initiator.index());
                         self.queues[bus].push_retry(tx);
                         continue;
                     }
-                    self.record(TraceKind::Grant, Some(tx.initiator), || tx.to_string());
                     self.note_grant(tx.initiator.index());
                     if self.discipline == ServiceDiscipline::Split {
                         // Address phase: post the request and release
@@ -1476,10 +1406,6 @@ impl Machine {
                 // undetected corruption of the memory word.
                 self.fault_clock.remove(&(None, addr.index()));
             }
-            let supplier_id = PeId::new(supplier as u16);
-            self.record(TraceKind::Abort, Some(supplier_id), || {
-                format!("interrupt {} and supply {addr} = {data}", tx.op)
-            });
             let t = self.traffic.bus_mut(bus);
             t.record_abort();
             t.record(BusOpKind::Write);
@@ -1517,9 +1443,6 @@ impl Machine {
                     self.stats.lock_rejections += 1;
                     self.stats.lock_rejected_reads += 1;
                     self.traffic.bus_mut(bus).record(BusOpKind::ReadWithLock);
-                    self.record(TraceKind::LockRejected, Some(tx.initiator), || {
-                        tx.to_string()
-                    });
                     self.mark_enqueued(tx.initiator.index());
                     self.queues[bus].request(tx).expect("requeue after grant");
                     return;
@@ -1628,9 +1551,6 @@ impl Machine {
                     self.stats.lock_rejections += 1;
                     self.stats.lock_rejected_writes += 1;
                     self.traffic.bus_mut(bus).record(BusOpKind::Write);
-                    self.record(TraceKind::LockRejected, Some(tx.initiator), || {
-                        tx.to_string()
-                    });
                     self.mark_enqueued(tx.initiator.index());
                     self.queues[bus].request(tx).expect("requeue after grant");
                     return;
@@ -1708,9 +1628,6 @@ impl Machine {
     }
 
     fn finish(&mut self, pe: usize, result: OpResult) {
-        self.record(TraceKind::Complete, Some(PeId::new(pe as u16)), || {
-            result.to_string()
-        });
         self.set_status(pe, PeStatus::Idle);
         self.last_progress[pe] = self.cycle;
         self.last_results[pe] = Some(result);
@@ -1736,9 +1653,6 @@ impl Machine {
         for pe in healed {
             self.fault_stats.broadcast_heals += 1;
             self.take_latency(Some(pe), self.block_base(addr));
-            self.record(TraceKind::Recover, Some(PeId::new(pe as u16)), || {
-                format!("broadcast healed corrupted line {addr}")
-            });
             self.notify(Observation::BroadcastHealed { pe, addr });
         }
     }
@@ -1783,9 +1697,6 @@ impl Machine {
                 self.traffic.bus_mut(bus).record(BusOpKind::Write);
                 self.note_memory_service();
                 self.stats.writebacks += 1;
-                self.record(TraceKind::Writeback, Some(PeId::new(pe as u16)), || {
-                    format!("write back {} = {}", evicted.addr, evicted.data)
-                });
                 if !evicted.parity_ok {
                     // A corrupted owned line was written back while
                     // still undetected: the corruption propagates to
@@ -1845,11 +1756,6 @@ impl Machine {
                 self.stats.split_cancels += 1;
             }
             self.stats.broadcast_satisfied += 1;
-            self.record(
-                TraceKind::BroadcastSatisfied,
-                Some(PeId::new(pe as u16)),
-                || format!("read {addr} = {value} from broadcast"),
-            );
             self.notify(Observation::BroadcastSatisfied { pe, addr });
             self.note_read_fill(pe);
             self.finish(pe, OpResult::Read(value));

@@ -26,16 +26,6 @@ impl Access {
     }
 }
 
-impl fmt::Display for Access {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Access::Read(a) => write!(f, "read {a}"),
-            Access::Write(a, w) => write!(f, "write {a} <- {w}"),
-            Access::TestAndSet(a, w) => write!(f, "TS {a} <- {w}"),
-        }
-    }
-}
-
 /// One memory operation: an [`Access`] tagged with the ground-truth
 /// [`RefClass`] of the referenced datum.
 ///
@@ -93,12 +83,6 @@ impl MemOp {
     pub fn with_class(mut self, class: RefClass) -> Self {
         self.class = class;
         self
-    }
-}
-
-impl fmt::Display for MemOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} [{}]", self.access, self.class)
     }
 }
 
@@ -205,7 +189,6 @@ mod tests {
 
     #[test]
     fn displays() {
-        assert_eq!(MemOp::read(Addr::new(1)).to_string(), "read @1 [shared]");
         assert_eq!(
             OpResult::TestAndSet {
                 old: Word::ZERO,

@@ -1,11 +1,16 @@
-//! Event tracing for debugging and for rendering figure narratives,
-//! plus the structured [`Observer`] callback the conformance oracle in
-//! `decache-verify` subscribes to.
+//! The machine's one event stream: the structured [`Observation`]s
+//! every attached [`Observer`] receives as they happen.
+//!
+//! The conformance oracle in `decache-verify` replays the stream
+//! against the Section 4 product model, and `decache-telemetry`'s
+//! `PerfettoTrace` keeps a bounded ring of it that renders both as
+//! Trace Event Format JSON and as the human-readable text view
+//! (`[   12] P3 read miss addr=0 intent=Read`). The machine keeps no
+//! other event log.
 
 use crate::fault::{FaultKind, RecoverySource};
 use decache_core::BusIntent;
-use decache_mem::{Addr, PeId};
-use std::fmt;
+use decache_mem::Addr;
 
 /// A protocol-level decision for a CPU reference, as observed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,186 +179,4 @@ pub enum Observation {
 pub trait Observer: Send {
     /// Called for every protocol-level step, with the current bus cycle.
     fn observe(&mut self, cycle: u64, observation: &Observation);
-}
-
-/// The category of a trace event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TraceKind {
-    /// A processor issued an operation to its cache.
-    Issue,
-    /// The operation completed in the cache without bus activity.
-    Hit,
-    /// A bus transaction was granted.
-    Grant,
-    /// A bus read was interrupted and replaced by a cache's write.
-    Abort,
-    /// A transaction was rejected by a memory lock and requeued.
-    LockRejected,
-    /// A stalled operation completed.
-    Complete,
-    /// A stalled read was satisfied by snooping a broadcast.
-    BroadcastSatisfied,
-    /// An evicted line was written back.
-    Writeback,
-    /// A fault was injected.
-    FaultInject,
-    /// A parity check failed (cache or memory).
-    FaultDetect,
-    /// A corrupted word or line was recovered (refetch, repair, or
-    /// broadcast heal).
-    Recover,
-    /// A processing element fail-stopped.
-    FailStop,
-}
-
-impl fmt::Display for TraceKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let label = match self {
-            TraceKind::Issue => "issue",
-            TraceKind::Hit => "hit",
-            TraceKind::Grant => "grant",
-            TraceKind::Abort => "abort",
-            TraceKind::LockRejected => "lock-rejected",
-            TraceKind::Complete => "complete",
-            TraceKind::BroadcastSatisfied => "broadcast-satisfied",
-            TraceKind::Writeback => "writeback",
-            TraceKind::FaultInject => "fault-inject",
-            TraceKind::FaultDetect => "fault-detect",
-            TraceKind::Recover => "recover",
-            TraceKind::FailStop => "fail-stop",
-        };
-        f.write_str(label)
-    }
-}
-
-/// One recorded simulation event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// The bus cycle in which the event occurred.
-    pub cycle: u64,
-    /// The category.
-    pub kind: TraceKind,
-    /// The processing element involved, if any.
-    pub pe: Option<PeId>,
-    /// Human-readable detail.
-    pub text: String,
-}
-
-impl fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.pe {
-            Some(pe) => write!(f, "[{:>5}] {} {}: {}", self.cycle, pe, self.kind, self.text),
-            None => write!(f, "[{:>5}] {}: {}", self.cycle, self.kind, self.text),
-        }
-    }
-}
-
-/// A bounded in-memory trace recorder. Disabled by default; when enabled
-/// it records every event up to a capacity limit, after which new events
-/// are dropped (and counted).
-#[derive(Debug, Default)]
-pub struct Trace {
-    enabled: bool,
-    events: Vec<TraceEvent>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl Trace {
-    /// Creates a disabled trace.
-    pub fn new() -> Self {
-        Trace::default()
-    }
-
-    /// Enables recording with the given capacity.
-    pub fn enable(&mut self, capacity: usize) {
-        self.enabled = true;
-        self.capacity = capacity;
-    }
-
-    /// Returns `true` if recording is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Records an event if enabled and under capacity.
-    pub fn record(&mut self, event: TraceEvent) {
-        if !self.enabled {
-            return;
-        }
-        if self.events.len() < self.capacity {
-            self.events.push(event);
-        } else {
-            self.dropped += 1;
-        }
-    }
-
-    /// The recorded events.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// The number of events dropped after capacity was reached.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Clears recorded events (keeps the enabled state).
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.dropped = 0;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ev(cycle: u64) -> TraceEvent {
-        TraceEvent {
-            cycle,
-            kind: TraceKind::Issue,
-            pe: Some(PeId::new(0)),
-            text: "read @0".to_owned(),
-        }
-    }
-
-    #[test]
-    fn disabled_trace_records_nothing() {
-        let mut t = Trace::new();
-        assert!(!t.is_enabled());
-        t.record(ev(1));
-        assert!(t.events().is_empty());
-        assert_eq!(t.dropped(), 0);
-    }
-
-    #[test]
-    fn enabled_trace_records_until_capacity() {
-        let mut t = Trace::new();
-        t.enable(2);
-        t.record(ev(1));
-        t.record(ev(2));
-        t.record(ev(3));
-        assert_eq!(t.events().len(), 2);
-        assert_eq!(t.dropped(), 1);
-        t.clear();
-        assert!(t.events().is_empty());
-        assert_eq!(t.dropped(), 0);
-        assert!(t.is_enabled());
-    }
-
-    #[test]
-    fn event_display_contains_cycle_pe_and_kind() {
-        let text = ev(42).to_string();
-        assert!(text.contains("42"));
-        assert!(text.contains("P0"));
-        assert!(text.contains("issue"));
-        let anon = TraceEvent {
-            cycle: 1,
-            kind: TraceKind::Grant,
-            pe: None,
-            text: "x".into(),
-        };
-        assert!(anon.to_string().contains("grant"));
-    }
 }

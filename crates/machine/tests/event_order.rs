@@ -3,10 +3,11 @@
 //!
 //! The fingerprint goldens fold end-of-run counters, so two engines
 //! that reach the same totals by emitting events in a different order
-//! would both pass them. Here each scenario runs to completion with the
-//! trace enabled and an [`Observer`] attached, and the test pins FNV-1a
-//! hashes of the full rendered [`Trace`](decache_machine::Trace) text
-//! and of the `(cycle, Observation)` stream, in emission order.
+//! would both pass them. Here each scenario runs to completion with an
+//! [`Observer`] attached, and the test pins the FNV-1a hash and the
+//! length of the `(cycle, Observation)` stream, in emission order. The
+//! observer folds every observation as it arrives and keeps none, so
+//! no capacity limit can hide a reordering.
 //!
 //! To regenerate after an *intentional* behavioural change, run
 //! `DECACHE_EVENT_ORDER_PRINT=1 cargo test -p decache-machine --test event_order -- --nocapture`
@@ -18,7 +19,6 @@ use decache_machine::{
 };
 use decache_mem::{Addr, AddrRange, Word};
 use decache_workloads::{MixConfig, MixWorkload};
-use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -150,31 +150,16 @@ fn wait_and_halt() -> MachineBuilder {
     builder
 }
 
-/// A scenario's `(trace hash, trace events, observation hash,
-/// observations)`.
-type Hashes = (u64, usize, u64, usize);
+/// A scenario's `(observation hash, observations)`.
+type Hashes = (u64, usize);
 
-/// Runs one scenario and returns its trace hash and length, and its
-/// observation hash and count.
+/// Runs one scenario and returns its observation hash and count.
 fn record(mut builder: MachineBuilder) -> Hashes {
     let recorder = Recorder(Arc::new(Mutex::new((FNV_OFFSET, 0))));
-    let mut machine: Machine = builder.trace().observer(Box::new(recorder.clone())).build();
+    let mut machine: Machine = builder.observer(Box::new(recorder.clone())).build();
     machine.run_to_completion(1_000_000);
-    let trace = machine.trace();
-    // The builder's trace holds 100,000 events; a dropped tail would
-    // hide a reordering behind the capacity limit.
-    assert!(trace.len() < 100_000, "trace reached capacity");
-    let mut text = String::new();
-    for event in trace {
-        writeln!(text, "{event}").unwrap();
-    }
-    let (observed, observations) = *recorder.0.lock().unwrap();
-    (
-        fnv1a(FNV_OFFSET, &text),
-        trace.len(),
-        observed,
-        observations,
-    )
+    let hashes = *recorder.0.lock().unwrap();
+    hashes
 }
 
 struct Scenario {
@@ -187,22 +172,22 @@ const SCENARIOS: [Scenario; 4] = [
     Scenario {
         name: "rb_mix",
         build: rb_mix,
-        golden: (0xff098090ba866194, 6281, 0x789166dff84b435c, 4427),
+        golden: (0x789166dff84b435c, 4427),
     },
     Scenario {
         name: "rwb_ts_contention",
         build: rwb_ts_contention,
-        golden: (0x2a657dccdf0c911e, 883, 0x3a71ffd103d267e2, 443),
+        golden: (0x3a71ffd103d267e2, 443),
     },
     Scenario {
         name: "two_bus_mix",
         build: two_bus_mix,
-        golden: (0xaae8a39d6a2a6570, 5150, 0x880bf8a38f6276d9, 3690),
+        golden: (0x880bf8a38f6276d9, 3690),
     },
     Scenario {
         name: "wait_and_halt",
         build: wait_and_halt,
-        golden: (0x4acc1a4e58c1b805, 448, 0x2a2ba725faea3ba0, 262),
+        golden: (0x2a2ba725faea3ba0, 262),
     },
 ];
 
@@ -210,15 +195,12 @@ const SCENARIOS: [Scenario; 4] = [
 fn event_order_matches_goldens() {
     let print = std::env::var_os("DECACHE_EVENT_ORDER_PRINT").is_some();
     for scenario in &SCENARIOS {
-        let (trace, events, observed, observations) = record((scenario.build)());
+        let (observed, observations) = record((scenario.build)());
         if print {
-            println!(
-                "{}: (0x{trace:016x}, {events}, 0x{observed:016x}, {observations})",
-                scenario.name
-            );
+            println!("{}: (0x{observed:016x}, {observations})", scenario.name);
         }
         assert_eq!(
-            (trace, events, observed, observations),
+            (observed, observations),
             scenario.golden,
             "event order of {} changed",
             scenario.name

@@ -26,7 +26,8 @@
 //!   length.
 //! - [`PerfettoTrace`] — a ring-buffered observer whose capture exports
 //!   as Trace Event Format JSON, one track per PE and per bus, loadable
-//!   in `chrome://tracing` or ui.perfetto.dev. Bench bins honour
+//!   in `chrome://tracing` or ui.perfetto.dev, and renders as one text
+//!   line per event. Bench bins honour
 //!   `DECACHE_TRACE=<path>` via [`env_trace_path`].
 //!
 //! [`check_conservation`]: MetricsSnapshot::check_conservation

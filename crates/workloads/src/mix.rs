@@ -83,6 +83,13 @@ impl MixWorkload {
         Self::with_private_region(config, shared, private, pe)
     }
 
+    /// One past the last word of the private regions that
+    /// [`MixWorkload::new`] gives PEs `0..pes`: the least memory a
+    /// machine of `pes` such workloads needs.
+    pub fn private_end(pes: u64) -> u64 {
+        Self::PRIVATE_BASE + pes * Self::PRIVATE_LEN
+    }
+
     /// Creates the workload with an explicit private region — required
     /// on hierarchical machines, where each PE's private data must live
     /// inside its own cluster's region.

@@ -1,6 +1,6 @@
 //! `decache-sim` — a small CLI front end for the simulator: pick a
 //! protocol, a workload, and a machine shape; get cycles, traffic, and
-//! hit ratios.
+//! hit ratios. Memory is sized from the workload's footprint.
 //!
 //! ```text
 //! decache-sim [--protocol rb|rb-nb|rwb|rwb:K|write-once|write-through|mesi]
@@ -14,6 +14,13 @@ use decache::mem::{Addr, AddrRange};
 use decache::sync::{BarrierWorker, LockWorker, Primitive};
 use decache::workloads::{ArrayInit, MixConfig, MixWorkload};
 use std::process::ExitCode;
+
+/// The least memory a machine gets, in words, whatever its workload
+/// touches.
+const MIN_MEMORY_WORDS: u64 = 1 << 15;
+/// The most memory a run may ask for, in words (256 MiB): room for the
+/// mix workload's private regions on `MAX_PES` processors.
+const MAX_MEMORY_WORDS: u64 = 1 << 25;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Workload {
@@ -139,10 +146,36 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(options)
 }
 
+/// The memory a run needs, in words: the workload's footprint, at least
+/// [`MIN_MEMORY_WORDS`], rounded up to a whole word per bus. A footprint
+/// above [`MAX_MEMORY_WORDS`] is a usage error, found before anything
+/// is allocated.
+fn memory_words(options: &Options) -> Result<u64, String> {
+    let pes = options.pes as u64;
+    let (flag, value, footprint) = match options.workload {
+        Workload::Mix => ("--pes", pes, MixWorkload::private_end(pes)),
+        Workload::Array => ("--ops", options.ops, options.ops),
+        // The lock word, then one critical-section word per PE from 1024.
+        Workload::Lock => ("--pes", pes, 1024 + pes + 8),
+        // The barrier's lock, counter and generation words.
+        Workload::Barrier => ("--pes", pes, 3),
+    };
+    if footprint > MAX_MEMORY_WORDS {
+        return Err(format!(
+            "{flag} {value} needs {footprint} memory words, more than the \
+             {MAX_MEMORY_WORDS}-word cap"
+        ));
+    }
+    Ok(footprint
+        .max(MIN_MEMORY_WORDS)
+        .next_multiple_of(options.buses as u64))
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let options = match parse_args(&args) {
-        Ok(o) => o,
+    let parsed = parse_args(&args).and_then(|o| Ok((memory_words(&o)?, o)));
+    let (memory_words, options) = match parsed {
+        Ok(parsed) => parsed,
         Err(message) => {
             eprintln!("{message}");
             return ExitCode::from(2);
@@ -151,7 +184,7 @@ fn main() -> ExitCode {
 
     let mut builder = MachineBuilder::new(options.protocol);
     builder
-        .memory_words(1 << 15)
+        .memory_words(memory_words)
         .cache_lines(options.cache_lines)
         .buses(options.buses);
 
@@ -284,6 +317,21 @@ mod tests {
         assert!(parse_args(&args(&["--workload", "nonsense"])).is_err());
         assert!(parse_args(&args(&["--frobnicate"])).is_err());
         assert!(parse_args(&args(&["--help"])).is_err());
+    }
+
+    #[test]
+    fn memory_covers_the_workload_footprint() {
+        let words = |raw: &[&str]| memory_words(&parse_args(&args(raw)).unwrap());
+        assert_eq!(words(&[]), Ok(MIN_MEMORY_WORDS));
+        assert_eq!(words(&["--pes", "200"]), Ok(MixWorkload::private_end(200)));
+        assert_eq!(
+            words(&["--workload", "array", "--ops", "100001", "--buses", "4"]),
+            Ok(100_004)
+        );
+        assert_eq!(words(&["--workload", "lock", "--pes", "40000"]), Ok(41_032));
+        assert!(words(&["--pes", "65536"]).is_ok());
+        let err = words(&["--workload", "array", "--ops", "33554433"]).unwrap_err();
+        assert!(err.starts_with("--ops 33554433"), "{err}");
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! The `decache-sim` binary end to end: out-of-range RWB thresholds and
-//! machine shapes the builder cannot take are rejected with an error
-//! and a failing exit status, not a panic, and the largest supported
-//! threshold runs.
+//! The `decache-sim` binary end to end: out-of-range RWB thresholds,
+//! machine shapes the builder cannot take and workloads too large for
+//! the memory cap are rejected with an error and a failing exit status,
+//! not a panic; the largest supported threshold runs, and so do
+//! workloads whose footprint is past the smallest memory.
 
 use std::process::{Command, Output};
 
@@ -57,4 +58,35 @@ fn unbuildable_shapes_are_usage_errors() {
         assert!(stderr.starts_with(flag), "{flag} {value}: {stderr}");
         assert!(!stderr.contains("panicked"), "{flag} {value}: {stderr}");
     }
+}
+
+#[test]
+fn memory_is_sized_from_the_workload_footprint() {
+    // The mix workload's private regions on 200 PEs, and a 100,000-word
+    // array, both reach past the 32,768-word minimum memory.
+    for args in [
+        &["--pes", "200", "--ops", "200"][..],
+        &["--workload", "array", "--ops", "100000"],
+    ] {
+        let out = run(args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            stdout.contains("cycles:"),
+            "{args:?}: stdout was {stdout:?}"
+        );
+    }
+}
+
+#[test]
+fn footprints_above_the_memory_cap_are_usage_errors() {
+    let out = run(&["--workload", "array", "--ops", "100000000000"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.starts_with("--ops"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
